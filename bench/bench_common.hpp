@@ -8,12 +8,9 @@
 // the shapes — who wins, crossovers, scaling exponents — are the
 // reproduction targets (see EXPERIMENTS.md).
 
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "io/datasets.hpp"
 
@@ -35,61 +32,6 @@ inline void note(const std::string& text)
 inline double mib(std::uint64_t bytes)
 {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
-}
-
-// ---- machine-readable perf trajectory (BENCH_*.json) ----------------------
-//
-// Benches emit flat one-level JSON objects of named sections so CI can
-// archive throughput numbers per PR.  Values are preformatted JSON
-// literals (json_num / json_str below), keeping the writer dependency-free.
-
-/// Render a double as a JSON number literal.
-inline std::string json_num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.8g", v);
-    return buf;
-}
-
-/// Render a string as a JSON string literal (no escaping — callers pass
-/// identifier-like values such as backend names).
-inline std::string json_str(const std::string& s)
-{
-    return "\"" + s + "\"";
-}
-
-/// Write `"section": { key: value, ... }` into the JSON object file at
-/// `path`.  `fresh` truncates the file first (each binary passes true for
-/// its first section so stale runs don't accumulate); otherwise the
-/// section is merged into the existing top-level object.
-inline void write_json_section(const std::string& path, const std::string& section,
-                               const std::vector<std::pair<std::string, std::string>>& kv,
-                               bool fresh = false)
-{
-    std::string body = "\"" + section + "\": {";
-    for (std::size_t i = 0; i < kv.size(); ++i) {
-        if (i != 0) body += ", ";
-        body += "\"" + kv[i].first + "\": " + kv[i].second;
-    }
-    body += "}";
-
-    std::string content;
-    if (!fresh) {
-        std::ifstream in(path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        content = ss.str();
-    }
-    const std::size_t first = content.find_first_not_of(" \t\r\n");
-    const std::size_t last = content.find_last_not_of(" \t\r\n");
-    if (first == std::string::npos || content[first] != '{' || content[last] != '}') {
-        content = "{\n  " + body + "\n}\n";
-    } else {
-        const bool has_keys = content.find_first_not_of(" \t\r\n", first + 1) != last;
-        content.insert(last, std::string(has_keys ? ",\n  " : "\n  ") + body + "\n");
-    }
-    std::ofstream out(path, std::ios::trunc);
-    out << content;
 }
 
 }  // namespace xct::bench

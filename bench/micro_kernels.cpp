@@ -20,6 +20,7 @@
 #include "backproj/rtk_style.hpp"
 #include "bench_common.hpp"
 #include "core/decompose.hpp"
+#include "core/json.hpp"
 #include "core/names.hpp"
 #include "core/scratch.hpp"
 #include "core/simd.hpp"
@@ -291,15 +292,15 @@ void emit_bench_json(const std::string& path)
         });
         const std::uint64_t heap_delta = scratch::heap_events() - heap0;
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "backproj",
-            {{"simd_backend", bench::json_str(simd::backend_name())},
-             {"simd_lanes", bench::json_num(static_cast<double>(simd::kLanes))},
-             {"updates_per_s_scalar", bench::json_num(updates / t_scalar)},
-             {"updates_per_s_simd", bench::json_num(updates / t_simd)},
-             {"views_per_s_simd", bench::json_num(static_cast<double>(g.num_proj) / t_simd)},
-             {"speedup", bench::json_num(t_scalar / t_simd)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(heap_delta))}},
+            {{"simd_backend", simd::backend_name()},
+             {"simd_lanes", simd::kLanes},
+             {"updates_per_s_scalar", updates / t_scalar},
+             {"updates_per_s_simd", updates / t_simd},
+             {"views_per_s_simd", static_cast<double>(g.num_proj) / t_simd},
+             {"speedup", t_scalar / t_simd},
+             {"warm_heap_events", heap_delta}},
             /*fresh=*/true);
     }
 
@@ -332,16 +333,16 @@ void emit_bench_json(const std::string& path)
         const double t_f32 = seconds_best_of(3, run_fp32);
         const std::uint64_t heap_delta = scratch::heap_events() - heap0;
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "filter",
-            {{"padded_len", bench::json_num(static_cast<double>(eng.padded_len()))},
-             {"rows_per_s_reference", bench::json_num(rows / t_ref)},
-             {"rows_per_s_fp32", bench::json_num(rows / t_f32)},
+            {{"padded_len", eng.padded_len()},
+             {"rows_per_s_reference", rows / t_ref},
+             {"rows_per_s_fp32", rows / t_f32},
              // Element rate in TH_flt's units, so the autotune calibrator
              // can seed the model straight from this file.
-             {"elems_per_s_fp32", bench::json_num(static_cast<double>(stack.count()) / t_f32)},
-             {"speedup", bench::json_num(t_ref / t_f32)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(heap_delta))}});
+             {"elems_per_s_fp32", static_cast<double>(stack.count()) / t_f32},
+             {"speedup", t_ref / t_f32},
+             {"warm_heap_events", heap_delta}});
     }
 
     // Raw FFT round-trip cost per transform (context for the filter row
@@ -373,13 +374,13 @@ void emit_bench_json(const std::string& path)
                 fft::transform_f(f, plan, true);
             }
         });
-        bench::write_json_section(
+        core::json::merge_section(
             path, "fft",
-            {{"n", bench::json_num(static_cast<double>(n))},
-             {"us_per_transform_reference", bench::json_num(per(t_refr) * 1e6)},
-             {"us_per_transform_planned_f64", bench::json_num(per(t_plan) * 1e6)},
-             {"us_per_transform_planned_f32", bench::json_num(per(t_f32) * 1e6)},
-             {"speedup_f32_vs_reference", bench::json_num(t_refr / t_f32)}});
+            {{"n", n},
+             {"us_per_transform_reference", per(t_refr) * 1e6},
+             {"us_per_transform_planned_f64", per(t_plan) * 1e6},
+             {"us_per_transform_planned_f32", per(t_f32) * 1e6},
+             {"speedup_f32_vs_reference", t_refr / t_f32}});
     }
 
     // Integrity layer (DESIGN.md §3f): raw xxh64 throughput (fast vs the
@@ -423,13 +424,13 @@ void emit_bench_json(const std::string& path)
             t_on = seconds_best_of(3, run_fdk);
         }
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "integrity",
-            {{"digest_gib_per_s", bench::json_num(gib / t_fast)},
-             {"digest_reference_gib_per_s", bench::json_num(gib / t_refr)},
-             {"fdk_seconds_integrity_off", bench::json_num(t_off)},
-             {"fdk_seconds_integrity_on", bench::json_num(t_on)},
-             {"overhead_percent", bench::json_num((t_on / t_off - 1.0) * 100.0)}});
+            {{"digest_gib_per_s", gib / t_fast},
+             {"digest_reference_gib_per_s", gib / t_refr},
+             {"fdk_seconds_integrity_off", t_off},
+             {"fdk_seconds_integrity_on", t_on},
+             {"overhead_percent", (t_on / t_off - 1.0) * 100.0}});
     }
 
     // Flight recorder (DESIGN.md §3g): the warm per-span cost of the
@@ -465,13 +466,13 @@ void emit_bench_json(const std::string& path)
         const double overhead = 100.0 * fdk_spans * t_span / t_fdk;
         require(overhead < 2.0, "flight recorder overhead exceeds 2% of FDK wall time");
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "flight",
-            {{"ns_per_span", bench::json_num(t_span * 1e9)},
-             {"spans_per_s", bench::json_num(1.0 / t_span)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(warm_heap))},
-             {"fdk_spans", bench::json_num(fdk_spans)},
-             {"overhead_percent", bench::json_num(overhead)}});
+            {{"ns_per_span", t_span * 1e9},
+             {"spans_per_s", 1.0 / t_span},
+             {"warm_heap_events", warm_heap},
+             {"fdk_spans", fdk_spans},
+             {"overhead_percent", overhead}});
     }
 
     // Bytes moved by the simulated device over a fixed single-rank run —
@@ -516,17 +517,17 @@ void emit_bench_json(const std::string& path)
         for (std::size_t i = 0; i < src_span.size(); ++i)
             max_err = std::max(max_err, std::abs(src_span[i] - dec_span[i]));
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "transport",
-            {{"h2d_bytes", bench::json_num(static_cast<double>(h2d))},
-             {"d2h_bytes", bench::json_num(static_cast<double>(d2h))},
-             {"h2d_bytes_q8", bench::json_num(static_cast<double>(h2d_q8))},
+            {{"h2d_bytes", h2d},
+             {"d2h_bytes", d2h},
+             {"h2d_bytes_q8", h2d_q8},
              {"q8_bytes_over_raw",
-              bench::json_num(static_cast<double>(h2d_q8) / static_cast<double>(h2d))},
-             {"q8_psnr_db", bench::json_num(recon::psnr(raw, q8))},
+              static_cast<double>(h2d_q8) / static_cast<double>(h2d)},
+             {"q8_psnr_db", recon::psnr(raw, q8)},
              {"q8_max_err_vs_bound",
-              bench::json_num(static_cast<double>(max_err) /
-                              static_cast<double>(io::q8_error_bound(enc)))}});
+              static_cast<double>(max_err) /
+                              static_cast<double>(io::q8_error_bound(enc))}});
     }
 
     // Autotune (DESIGN.md §3j): the planner's pick for a Table-2-shaped
@@ -553,18 +554,18 @@ void emit_bench_json(const std::string& path)
             }(),
             m, fixed.queue_depth).runtime;
 
-        bench::write_json_section(
+        core::json::merge_section(
             path, "autotune",
-            {{"picked_ng", bench::json_num(static_cast<double>(plan.layout.num_groups))},
-             {"picked_nr", bench::json_num(static_cast<double>(plan.layout.ranks_per_group))},
-             {"picked_nc", bench::json_num(static_cast<double>(plan.batches))},
-             {"picked_queue_depth", bench::json_num(static_cast<double>(plan.queue_depth))},
-             {"candidates_scored", bench::json_num(static_cast<double>(plan.candidates_scored))},
-             {"planned_runtime_seconds", bench::json_num(plan.predicted_runtime_s)},
-             {"fixed_runtime_seconds", bench::json_num(fixed_runtime)},
+            {{"picked_ng", plan.layout.num_groups},
+             {"picked_nr", plan.layout.ranks_per_group},
+             {"picked_nc", plan.batches},
+             {"picked_queue_depth", plan.queue_depth},
+             {"candidates_scored", plan.candidates_scored},
+             {"planned_runtime_seconds", plan.predicted_runtime_s},
+             {"fixed_runtime_seconds", fixed_runtime},
              {"planned_over_fixed_runtime",
-              bench::json_num(plan.predicted_runtime_s / fixed_runtime)},
-             {"jobs_per_hour", bench::json_num(3600.0 / plan.predicted_runtime_s)}});
+              plan.predicted_runtime_s / fixed_runtime},
+             {"jobs_per_hour", 3600.0 / plan.predicted_runtime_s}});
     }
 }
 

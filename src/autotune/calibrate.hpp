@@ -66,7 +66,8 @@ public:
     /// Seed kernel rates from a BENCH_*.json document: reads
     /// backproj.updates_per_s_{simd,scalar} and filter.elems_per_s_fp32
     /// when present.  Throws std::runtime_error when the file is
-    /// unreadable; unknown keys are ignored.
+    /// unreadable and std::invalid_argument when it is not valid JSON;
+    /// unknown keys are ignored.
     void observe_bench_file(const std::string& path);
 
     /// Fold one run's measured per-rank stats in.  Work terms (elements
@@ -97,7 +98,7 @@ private:
 std::string machine_json(const perfmodel::MachineParams& m);
 void write_machine_json(const std::string& path, const perfmodel::MachineParams& m);
 /// Parse a machine_json document.  Throws std::runtime_error on missing
-/// file or missing keys.
+/// file or missing keys, std::invalid_argument on malformed JSON.
 perfmodel::MachineParams read_machine_json(const std::string& path);
 
 }  // namespace xct::autotune

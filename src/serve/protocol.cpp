@@ -1,8 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,181 +7,7 @@ namespace xct::serve {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what, std::size_t at)
-{
-    throw std::invalid_argument("json: " + what + " at byte " + std::to_string(at));
-}
-
-class Parser {
-public:
-    explicit Parser(const std::string& text) : s_(text) {}
-
-    Json parse_document()
-    {
-        Json v = parse_value();
-        skip_ws();
-        if (i_ != s_.size()) bad("trailing data", i_);
-        return v;
-    }
-
-private:
-    const std::string& s_;
-    std::size_t i_ = 0;
-
-    void skip_ws()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' || s_[i_] == '\r'))
-            ++i_;
-    }
-
-    char peek()
-    {
-        if (i_ >= s_.size()) bad("unexpected end", i_);
-        return s_[i_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c) bad(std::string("expected '") + c + "'", i_);
-        ++i_;
-    }
-
-    bool consume_literal(const char* lit)
-    {
-        std::size_t n = 0;
-        while (lit[n] != '\0') ++n;
-        if (s_.compare(i_, n, lit) != 0) return false;
-        i_ += n;
-        return true;
-    }
-
-    Json parse_value()
-    {
-        skip_ws();
-        const char c = peek();
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
-        if (c == '"') {
-            Json v;
-            v.type = Json::Type::String;
-            v.string = parse_string();
-            return v;
-        }
-        if (c == 't' || c == 'f') {
-            Json v;
-            v.type = Json::Type::Bool;
-            if (consume_literal("true"))
-                v.boolean = true;
-            else if (consume_literal("false"))
-                v.boolean = false;
-            else
-                bad("bad literal", i_);
-            return v;
-        }
-        if (c == 'n') {
-            if (!consume_literal("null")) bad("bad literal", i_);
-            return Json{};
-        }
-        return parse_number();
-    }
-
-    Json parse_object()
-    {
-        expect('{');
-        Json v;
-        v.type = Json::Type::Object;
-        skip_ws();
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        while (true) {
-            skip_ws();
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            v.object.emplace_back(std::move(key), parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Json parse_array()
-    {
-        expect('[');
-        Json v;
-        v.type = Json::Type::Array;
-        skip_ws();
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string parse_string()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (i_ >= s_.size()) bad("unterminated string", i_);
-            const char c = s_[i_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (i_ >= s_.size()) bad("unterminated escape", i_);
-            const char e = s_[i_++];
-            switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'n': out.push_back('\n'); break;
-                case 't': out.push_back('\t'); break;
-                case 'r': out.push_back('\r'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                default: bad("unsupported escape", i_ - 1);
-            }
-        }
-    }
-
-    Json parse_number()
-    {
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[i_])) || s_[i_] == '-' ||
-                s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start) bad("expected value", i_);
-        Json v;
-        v.type = Json::Type::Number;
-        std::size_t used = 0;
-        try {
-            v.number = std::stod(s_.substr(start, i_ - start), &used);
-        } catch (const std::exception&) {
-            bad("bad number", start);
-        }
-        if (used != i_ - start) bad("bad number", start);
-        return v;
-    }
-};
+using core::json::Writer;
 
 const Json& member(const Json& j, const std::string& key)
 {
@@ -199,95 +22,52 @@ double num_or(const Json& j, const std::string& key, double fallback)
     return m != nullptr ? m->as_number(key) : fallback;
 }
 
+std::uint64_t u64_or(const Json& j, const std::string& key, std::uint64_t fallback)
+{
+    const Json* m = j.find(key);
+    return m != nullptr ? m->as_u64(key) : fallback;
+}
+
+index_t index_or(const Json& j, const std::string& key, index_t fallback)
+{
+    const Json* m = j.find(key);
+    return m != nullptr ? m->as_index(key) : fallback;
+}
+
 std::string str_or(const Json& j, const std::string& key, const std::string& fallback)
 {
     const Json* m = j.find(key);
     return m != nullptr ? m->as_string(key) : fallback;
 }
 
-index_t idx(double v, const std::string& what)
+void write_spec(Writer& w, const JobSpec& spec)
 {
-    if (!std::isfinite(v) || v != std::floor(v))
-        throw std::invalid_argument("json: " + what + " must be an integer");
-    return static_cast<index_t>(v);
+    const CbctGeometry& g = spec.geometry;
+    w.begin_object().key("geometry").begin_object();
+    w.member("dso", g.dso).member("dsd", g.dsd).member("num_proj", g.num_proj);
+    w.member("nu", g.nu).member("nv", g.nv).member("du", g.du).member("dv", g.dv);
+    w.key("vol").begin_array().value(g.vol.x).value(g.vol.y).value(g.vol.z).end_array();
+    w.member("dx", g.dx).member("dy", g.dy).member("dz", g.dz);
+    w.member("scan_range", g.scan_range).end_object();
+    w.member("phantom_seed", spec.phantom_seed).member("batches", spec.batches);
+    w.member("device_capacity", spec.device_capacity);
+    w.member("priority", to_string(spec.priority)).member("tenant", spec.tenant);
+    w.member("deadline_s", spec.deadline_s).member("output", spec.output);
+    w.end_object();
+}
+
+template <typename Fn>
+std::string encode(Fn&& fill)
+{
+    std::ostringstream ss;
+    Writer w(ss);
+    fill(w);
+    return ss.str();
 }
 
 }  // namespace
 
-Json Json::parse(const std::string& text)
-{
-    return Parser(text).parse_document();
-}
-
-const Json* Json::find(const std::string& key) const
-{
-    if (type != Type::Object) return nullptr;
-    for (const auto& [k, v] : object)
-        if (k == key) return &v;
-    return nullptr;
-}
-
-double Json::as_number(const std::string& what) const
-{
-    if (type != Type::Number) throw std::invalid_argument("json: " + what + " must be a number");
-    return number;
-}
-
-const std::string& Json::as_string(const std::string& what) const
-{
-    if (type != Type::String) throw std::invalid_argument("json: " + what + " must be a string");
-    return string;
-}
-
-bool Json::as_bool(const std::string& what) const
-{
-    if (type != Type::Bool) throw std::invalid_argument("json: " + what + " must be a boolean");
-    return boolean;
-}
-
-std::string json_quote(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default: out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string json_number(double v)
-{
-    std::ostringstream ss;
-    ss << std::setprecision(17) << v;
-    return ss.str();
-}
-
-std::string encode_spec(const JobSpec& spec)
-{
-    const CbctGeometry& g = spec.geometry;
-    std::ostringstream ss;
-    ss << "{\"geometry\":{"
-       << "\"dso\":" << json_number(g.dso) << ",\"dsd\":" << json_number(g.dsd)
-       << ",\"num_proj\":" << g.num_proj << ",\"nu\":" << g.nu << ",\"nv\":" << g.nv
-       << ",\"du\":" << json_number(g.du) << ",\"dv\":" << json_number(g.dv) << ",\"vol\":["
-       << g.vol.x << "," << g.vol.y << "," << g.vol.z << "],\"dx\":" << json_number(g.dx)
-       << ",\"dy\":" << json_number(g.dy) << ",\"dz\":" << json_number(g.dz)
-       << ",\"scan_range\":" << json_number(g.scan_range) << "}"
-       << ",\"phantom_seed\":" << spec.phantom_seed << ",\"batches\":" << spec.batches
-       << ",\"device_capacity\":" << spec.device_capacity
-       << ",\"priority\":" << json_quote(to_string(spec.priority))
-       << ",\"tenant\":" << json_quote(spec.tenant)
-       << ",\"deadline_s\":" << json_number(spec.deadline_s)
-       << ",\"output\":" << json_quote(spec.output) << "}";
-    return ss.str();
-}
+std::string encode_spec(const JobSpec& s) { return encode([&](Writer& w) { write_spec(w, s); }); }
 
 JobSpec decode_spec(const Json& j)
 {
@@ -295,25 +75,23 @@ JobSpec decode_spec(const Json& j)
     const Json& g = member(j, "geometry");
     spec.geometry.dso = member(g, "dso").as_number("dso");
     spec.geometry.dsd = member(g, "dsd").as_number("dsd");
-    spec.geometry.num_proj = idx(member(g, "num_proj").as_number("num_proj"), "num_proj");
-    spec.geometry.nu = idx(member(g, "nu").as_number("nu"), "nu");
-    spec.geometry.nv = idx(member(g, "nv").as_number("nv"), "nv");
+    spec.geometry.num_proj = member(g, "num_proj").as_index("num_proj");
+    spec.geometry.nu = member(g, "nu").as_index("nu");
+    spec.geometry.nv = member(g, "nv").as_index("nv");
     spec.geometry.du = num_or(g, "du", 1.0);
     spec.geometry.dv = num_or(g, "dv", 1.0);
     const Json& vol = member(g, "vol");
     if (vol.type != Json::Type::Array || vol.array.size() != 3)
         throw std::invalid_argument("json: vol must be [nx, ny, nz]");
-    spec.geometry.vol = Dim3{idx(vol.array[0].as_number("vol"), "vol"),
-                             idx(vol.array[1].as_number("vol"), "vol"),
-                             idx(vol.array[2].as_number("vol"), "vol")};
+    spec.geometry.vol = Dim3{vol.array[0].as_index("vol"), vol.array[1].as_index("vol"),
+                             vol.array[2].as_index("vol")};
     spec.geometry.dx = num_or(g, "dx", 1.0);
     spec.geometry.dy = num_or(g, "dy", 1.0);
     spec.geometry.dz = num_or(g, "dz", 1.0);
     spec.geometry.scan_range = num_or(g, "scan_range", spec.geometry.scan_range);
-    spec.phantom_seed = static_cast<std::uint64_t>(num_or(j, "phantom_seed", 0.0));
-    spec.batches = idx(num_or(j, "batches", 8.0), "batches");
-    spec.device_capacity =
-        static_cast<std::size_t>(num_or(j, "device_capacity", 64.0 * (1 << 20)));
+    spec.phantom_seed = u64_or(j, "phantom_seed", 0);
+    spec.batches = index_or(j, "batches", 8);
+    spec.device_capacity = u64_or(j, "device_capacity", std::uint64_t{64} << 20);
     spec.priority = priority_from(str_or(j, "priority", "normal"));
     spec.tenant = str_or(j, "tenant", "default");
     spec.deadline_s = num_or(j, "deadline_s", 0.0);
@@ -321,26 +99,25 @@ JobSpec decode_spec(const Json& j)
     return spec;
 }
 
+void write_status(Writer& w, const JobStatus& st)
+{
+    w.begin_object().member("id", st.id).member("state", to_string(st.state));
+    w.member("tenant", st.tenant).member("priority", to_string(st.priority));
+    w.member("reason", st.reason).member("progress", st.progress);
+    w.member("total_slabs", st.total_slabs).member("completed_slabs", st.completed_slabs);
+    w.member("predicted_s", st.predicted_s).member("device_bytes", st.device_bytes);
+    w.member("output", st.output).end_object();
+}
+
 std::string encode_status(const JobStatus& st)
 {
-    std::ostringstream ss;
-    ss << "{\"id\":" << st.id << ",\"state\":" << json_quote(to_string(st.state))
-       << ",\"tenant\":" << json_quote(st.tenant)
-       << ",\"priority\":" << json_quote(to_string(st.priority))
-       << ",\"reason\":" << json_quote(st.reason)
-       << ",\"progress\":" << json_number(st.progress)
-       << ",\"total_slabs\":" << st.total_slabs
-       << ",\"completed_slabs\":" << st.completed_slabs
-       << ",\"predicted_s\":" << json_number(st.predicted_s)
-       << ",\"device_bytes\":" << st.device_bytes
-       << ",\"output\":" << json_quote(st.output) << "}";
-    return ss.str();
+    return encode([&](Writer& w) { write_status(w, st); });
 }
 
 JobStatus decode_status(const Json& j)
 {
     JobStatus st;
-    st.id = static_cast<JobId>(member(j, "id").as_number("id"));
+    st.id = member(j, "id").as_u64("id");
     const std::string& state = member(j, "state").as_string("state");
     const JobState states[] = {JobState::Queued,   JobState::Running, JobState::Done,
                                JobState::Cancelled, JobState::Rejected, JobState::Shed,
@@ -356,25 +133,25 @@ JobStatus decode_status(const Json& j)
     st.priority = priority_from(str_or(j, "priority", "normal"));
     st.reason = str_or(j, "reason", "");
     st.progress = num_or(j, "progress", 0.0);
-    st.total_slabs = idx(num_or(j, "total_slabs", 0.0), "total_slabs");
-    st.completed_slabs = idx(num_or(j, "completed_slabs", 0.0), "completed_slabs");
+    st.total_slabs = index_or(j, "total_slabs", 0);
+    st.completed_slabs = index_or(j, "completed_slabs", 0);
     st.predicted_s = num_or(j, "predicted_s", 0.0);
-    st.device_bytes = static_cast<std::uint64_t>(num_or(j, "device_bytes", 0.0));
+    st.device_bytes = u64_or(j, "device_bytes", 0);
     st.output = str_or(j, "output", "");
     return st;
 }
 
 std::string encode_request(const Request& r)
 {
-    std::ostringstream ss;
-    ss << "{\"op\":" << json_quote(r.op);
-    if (r.op == "submit") ss << ",\"spec\":" << encode_spec(r.spec);
-    if (r.op == "status" || r.op == "cancel" || r.op == "wait" || r.op == "fetch_slice")
-        ss << ",\"id\":" << r.id;
-    if (r.op == "fetch_slice") ss << ",\"slice\":" << r.slice;
-    if (r.op == "wait") ss << ",\"timeout_s\":" << json_number(r.timeout_s);
-    ss << "}";
-    return ss.str();
+    return encode([&](Writer& w) {
+        w.begin_object().member("op", r.op);
+        if (r.op == "submit") write_spec(w.key("spec"), r.spec);
+        if (r.op == "status" || r.op == "cancel" || r.op == "wait" || r.op == "fetch_slice")
+            w.member("id", r.id);
+        if (r.op == "fetch_slice") w.member("slice", r.slice);
+        if (r.op == "wait") w.member("timeout_s", r.timeout_s);
+        w.end_object();
+    });
 }
 
 Request decode_request(const std::string& line)
@@ -384,15 +161,17 @@ Request decode_request(const std::string& line)
     r.op = member(j, "op").as_string("op");
     if (r.op == "submit") r.spec = decode_spec(member(j, "spec"));
     if (r.op == "status" || r.op == "cancel" || r.op == "wait" || r.op == "fetch_slice")
-        r.id = static_cast<JobId>(member(j, "id").as_number("id"));
-    if (r.op == "fetch_slice") r.slice = idx(member(j, "slice").as_number("slice"), "slice");
+        r.id = member(j, "id").as_u64("id");
+    if (r.op == "fetch_slice") r.slice = member(j, "slice").as_index("slice");
     if (r.op == "wait") r.timeout_s = num_or(j, "timeout_s", 60.0);
     return r;
 }
 
 std::string encode_error(const std::string& message)
 {
-    return "{\"ok\":false,\"error\":" + json_quote(message) + "}";
+    return encode([&](Writer& w) {
+        w.begin_object().member("ok", false).member("error", message).end_object();
+    });
 }
 
 const char* to_string(Priority p)

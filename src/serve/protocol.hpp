@@ -3,52 +3,24 @@
 //
 // One request per connection, newline-delimited: the client writes a
 // single-line JSON object, the daemon answers with a single-line JSON
-// object carrying "ok" plus op-specific fields.  The parser is a small
-// self-contained recursive-descent JSON reader (objects, arrays, strings
-// with basic escapes, numbers, booleans, null) — the tree bans external
-// dependencies, and the grammar the API needs is tiny.
+// object carrying "ok" plus op-specific fields.  Reading and writing go
+// through core/json (strict, depth-capped parser; compact streaming
+// writer).
 //
-// Doubles are printed at max_digits10 so a spec survives the
-// encode->decode round trip bit-exactly; the journal stores specs in this
-// same encoding, which is why replayed jobs reconstruct identical volumes.
+// Doubles are printed at shortest round-trip precision and integers
+// exactly, so a spec survives the encode->decode round trip bit-exactly;
+// the journal stores specs in this same encoding, which is why replayed
+// jobs reconstruct identical volumes.
 
 #include <string>
-#include <vector>
 
+#include "core/json.hpp"
 #include "serve/job.hpp"
 
 namespace xct::serve {
 
-/// Parsed JSON value (tree-owned, no sharing).
-class Json {
-public:
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Json> array;
-    std::vector<std::pair<std::string, Json>> object;  // insertion order
-
-    /// Parse one JSON document; throws std::invalid_argument with a byte
-    /// offset on malformed input.
-    static Json parse(const std::string& text);
-
-    /// Object member lookup; nullptr when absent or not an object.
-    const Json* find(const std::string& key) const;
-
-    /// Typed accessors; throw std::invalid_argument (naming `what`) on a
-    /// type mismatch so API errors carry the offending field.
-    double as_number(const std::string& what) const;
-    const std::string& as_string(const std::string& what) const;
-    bool as_bool(const std::string& what) const;
-};
-
-/// Escape `s` into a JSON string literal (quotes included).
-std::string json_quote(const std::string& s);
-/// Print a double at round-trip precision.
-std::string json_number(double v);
+/// The protocol's JSON tree (kept under its historical name).
+using Json = core::Json;
 
 // ---- JobSpec / JobStatus wire forms ------------------------------------
 
@@ -57,6 +29,8 @@ std::string encode_spec(const JobSpec& spec);
 JobSpec decode_spec(const Json& j);
 
 std::string encode_status(const JobStatus& st);
+/// Stream a status as one JSON object value (the list reply's elements).
+void write_status(core::json::Writer& w, const JobStatus& st);
 JobStatus decode_status(const Json& j);
 
 // ---- request envelope ---------------------------------------------------

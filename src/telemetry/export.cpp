@@ -1,39 +1,18 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <set>
+
+#include "core/json.hpp"
 
 namespace xct::telemetry {
 
 namespace {
 
-std::string json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
+/// The metrics CSV's fixed six-decimal number format (JSON output goes
+/// through core/json's shortest round-trip printer instead).
 std::string fmt_double(double v)
 {
     char buf[32];
@@ -52,21 +31,16 @@ std::ofstream open_out(const std::filesystem::path& path)
 
 void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
 {
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    auto sep = [&] {
-        if (!first) os << ",";
-        first = false;
-        os << "\n";
-    };
+    core::json::Writer w(os);
+    w.begin_object().member("displayTimeUnit", "ms").key("traceEvents").begin_array();
 
     // Name each pid lane so Perfetto shows "rank N" process headers.
     std::set<RankId> ranks;
     for (const auto& e : events) ranks.insert(e.rank);
     for (const RankId r : ranks) {
-        sep();
-        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << r
-           << ",\"tid\":0,\"args\":{\"name\":\"rank " << r << "\"}}";
+        w.begin_object().member("name", "process_name").member("ph", "M");
+        w.member("pid", r.value()).member("tid", 0).key("args").begin_object();
+        w.member("name", "rank " + std::to_string(r.value())).end_object().end_object();
     }
 
     for (const auto& e : events) {
@@ -74,23 +48,19 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
         // negative timestamps, which the viewers mishandle.
         const double begin = std::max(0.0, e.begin);
         const double dur = std::max(0.0, e.end - begin);
-        sep();
-        os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\"" << json_escape(e.cat)
-           << "\",\"ph\":\"X\",\"ts\":" << fmt_double(begin * 1e6)
-           << ",\"dur\":" << fmt_double(dur * 1e6) << ",\"pid\":" << e.rank
-           << ",\"tid\":" << e.lane;
+        w.begin_object().member("name", e.name).member("cat", e.cat).member("ph", "X");
+        w.member("ts", begin * 1e6).member("dur", dur * 1e6);
+        w.member("pid", e.rank.value()).member("tid", e.lane);
         if (e.item >= 0 || e.bytes > 0) {
-            os << ",\"args\":{";
-            if (e.item >= 0) os << "\"item\":" << e.item;
-            if (e.bytes > 0) {
-                if (e.item >= 0) os << ",";
-                os << "\"bytes\":" << e.bytes;
-            }
-            os << "}";
+            w.key("args").begin_object();
+            if (e.item >= 0) w.member("item", e.item);
+            if (e.bytes > 0) w.member("bytes", e.bytes);
+            w.end_object();
         }
-        os << "}";
+        w.end_object();
     }
-    os << "\n]}\n";
+    w.end_array().end_object();
+    os << "\n";
 }
 
 void write_chrome_trace(const std::filesystem::path& path, const std::vector<TraceEvent>& events)
@@ -122,25 +92,21 @@ void write_metrics_csv(const std::filesystem::path& path, const MetricsSnapshot&
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& s)
 {
-    os << "{\n  \"counters\": {";
-    for (std::size_t i = 0; i < s.counters.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << json_escape(s.counters[i].name)
-           << "\": " << s.counters[i].value;
-    os << "\n  },\n  \"gauges\": {";
-    for (std::size_t i = 0; i < s.gauges.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << json_escape(s.gauges[i].name)
-           << "\": " << fmt_double(s.gauges[i].value);
-    os << "\n  },\n  \"histograms\": {";
-    for (std::size_t i = 0; i < s.histograms.size(); ++i) {
-        const auto& h = s.histograms[i];
-        os << (i ? "," : "") << "\n    \"" << json_escape(h.name) << "\": {\"bounds\": [";
-        for (std::size_t b = 0; b < h.bounds.size(); ++b)
-            os << (b ? "," : "") << fmt_double(h.bounds[b]);
-        os << "], \"counts\": [";
-        for (std::size_t b = 0; b < h.counts.size(); ++b) os << (b ? "," : "") << h.counts[b];
-        os << "], \"count\": " << h.count << ", \"sum\": " << fmt_double(h.sum) << "}";
+    core::json::Writer w(os, core::json::Style::Spaced);
+    w.begin_object().key("counters").begin_object();
+    for (const auto& c : s.counters) w.member(c.name, c.value);
+    w.end_object().key("gauges").begin_object();
+    for (const auto& g : s.gauges) w.member(g.name, g.value);
+    w.end_object().key("histograms").begin_object();
+    for (const auto& h : s.histograms) {
+        w.key(h.name).begin_object().key("bounds").begin_array();
+        for (const double b : h.bounds) w.value(b);
+        w.end_array().key("counts").begin_array();
+        for (const std::uint64_t c : h.counts) w.value(c);
+        w.end_array().member("count", h.count).member("sum", h.sum).end_object();
     }
-    os << "\n  }\n}\n";
+    w.end_object().end_object();
+    os << "\n";
 }
 
 void write_metrics_json(const std::filesystem::path& path, const MetricsSnapshot& s)

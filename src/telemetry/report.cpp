@@ -1,10 +1,10 @@
 #include "telemetry/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <map>
 
+#include "core/json.hpp"
 #include "core/names.hpp"
 
 namespace xct::telemetry::report {
@@ -57,41 +57,11 @@ double perfmodel::BatchTimes::* batch_field(const std::string& stage)
     return nullptr;
 }
 
-// ---- JSON helpers (self-contained; the report schema is typed here) -----
-
-std::string esc(const std::string& s)
+void write_batch_times(core::json::Writer& w, const perfmodel::BatchTimes& t)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string num(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-std::string num(index_t v)
-{
-    return std::to_string(static_cast<long long>(v));
-}
-
-std::string batch_times_json(const perfmodel::BatchTimes& t)
-{
-    return "{\"load\": " + num(t.load) + ", \"filter\": " + num(t.filter) +
-           ", \"h2d\": " + num(t.h2d) + ", \"bp\": " + num(t.bp) + ", \"d2h\": " + num(t.d2h) +
-           ", \"reduce\": " + num(t.reduce) + ", \"store\": " + num(t.store) + "}";
+    w.begin_object().member("load", t.load).member("filter", t.filter).member("h2d", t.h2d);
+    w.member("bp", t.bp).member("d2h", t.d2h).member("reduce", t.reduce);
+    w.member("store", t.store).end_object();
 }
 
 }  // namespace
@@ -223,61 +193,48 @@ RunReport build(const perfmodel::RunConfig& cfg, const perfmodel::MachineParams&
 
 void write_json(std::ostream& os, const RunReport& r)
 {
-    os << "{\n  \"schema\": \"xct.report.v1\",\n";
-    os << "  \"config\": {\"volume\": [" << num(r.config.geometry.vol.x) << ", "
-       << num(r.config.geometry.vol.y) << ", " << num(r.config.geometry.vol.z)
-       << "], \"detector\": [" << num(r.config.geometry.nu) << ", "
-       << num(r.config.geometry.nv) << "], \"views\": " << num(r.config.geometry.num_proj)
-       << ", \"groups\": " << num(r.config.layout.num_groups)
-       << ", \"ranks_per_group\": " << num(r.config.layout.ranks_per_group)
-       << ", \"batches\": " << num(r.config.batches) << "},\n";
-    os << "  \"model\": {\"runtime_s\": " << num(r.predicted_runtime_s)
-       << ", \"gups\": " << num(r.predicted_gups) << ", \"binding_stage\": \""
-       << esc(r.binding_stage) << "\"},\n";
-    os << "  \"measured\": {\"wall_s\": " << num(r.measured_wall_s)
-       << ", \"efficiency\": " << num(r.efficiency)
-       << ", \"straggler_k\": " << num(r.straggler_k) << "},\n";
+    const CbctGeometry& g = r.config.geometry;
+    core::json::Writer w(os, core::json::Style::Spaced);
+    w.begin_object().member("schema", "xct.report.v1");
+    w.key("config").begin_object();
+    w.key("volume").begin_array().value(g.vol.x).value(g.vol.y).value(g.vol.z).end_array();
+    w.key("detector").begin_array().value(g.nu).value(g.nv).end_array();
+    w.member("views", g.num_proj).member("groups", r.config.layout.num_groups);
+    w.member("ranks_per_group", r.config.layout.ranks_per_group);
+    w.member("batches", r.config.batches).end_object();
+    w.key("model").begin_object().member("runtime_s", r.predicted_runtime_s);
+    w.member("gups", r.predicted_gups).member("binding_stage", r.binding_stage).end_object();
+    w.key("measured").begin_object().member("wall_s", r.measured_wall_s);
+    w.member("efficiency", r.efficiency).member("straggler_k", r.straggler_k).end_object();
 
-    os << "  \"stages\": [";
-    for (std::size_t i = 0; i < r.stages.size(); ++i) {
-        const StageReport& s = r.stages[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"stage\": \"" << esc(s.stage)
-           << "\", \"measured_s\": " << num(s.measured_s)
-           << ", \"predicted_s\": " << num(s.predicted_s)
-           << ", \"efficiency\": " << num(s.efficiency) << "}";
+    w.key("stages").begin_array();
+    for (const StageReport& s : r.stages) {
+        w.begin_object().member("stage", s.stage).member("measured_s", s.measured_s);
+        w.member("predicted_s", s.predicted_s).member("efficiency", s.efficiency).end_object();
     }
-    os << "\n  ],\n";
-
-    os << "  \"batches\": [";
-    for (std::size_t i = 0; i < r.batches.size(); ++i) {
-        const BatchReport& b = r.batches[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"batch\": " << num(b.batch)
-           << ", \"measured\": " << batch_times_json(b.measured)
-           << ", \"predicted\": " << batch_times_json(b.predicted) << "}";
+    w.end_array().key("batches").begin_array();
+    for (const BatchReport& b : r.batches) {
+        w.begin_object().member("batch", b.batch);
+        write_batch_times(w.key("measured"), b.measured);
+        write_batch_times(w.key("predicted"), b.predicted);
+        w.end_object();
     }
-    os << "\n  ],\n";
-
-    os << "  \"ranks\": [";
-    for (std::size_t i = 0; i < r.ranks.size(); ++i) {
-        const RankReport& k = r.ranks[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"rank\": " << num(k.rank.value())
-           << ", \"group\": " << num(k.group.value()) << ", \"wall_s\": " << num(k.wall_s)
-           << ", \"busy_s\": " << num(k.busy_s) << ", \"overlap\": " << num(k.overlap)
-           << ", \"efficiency\": " << num(k.efficiency) << ", \"flags\": [";
-        for (std::size_t f = 0; f < k.flags.size(); ++f)
-            os << (f ? ", " : "") << "\"" << esc(k.flags[f]) << "\"";
-        os << "]}";
+    w.end_array().key("ranks").begin_array();
+    for (const RankReport& k : r.ranks) {
+        w.begin_object().member("rank", k.rank.value()).member("group", k.group.value());
+        w.member("wall_s", k.wall_s).member("busy_s", k.busy_s).member("overlap", k.overlap);
+        w.member("efficiency", k.efficiency).key("flags").begin_array();
+        for (const std::string& f : k.flags) w.value(f);
+        w.end_array().end_object();
     }
-    os << "\n  ],\n";
-
-    os << "  \"fleet\": [";
-    for (std::size_t i = 0; i < r.fleet.size(); ++i) {
-        const FleetStage& f = r.fleet[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"stage\": \"" << esc(f.stage)
-           << "\", \"ranks\": " << num(f.ranks) << ", \"p50_s\": " << num(f.p50_s)
-           << ", \"p95_s\": " << num(f.p95_s) << ", \"p99_s\": " << num(f.p99_s) << "}";
+    w.end_array().key("fleet").begin_array();
+    for (const FleetStage& f : r.fleet) {
+        w.begin_object().member("stage", f.stage).member("ranks", f.ranks);
+        w.member("p50_s", f.p50_s).member("p95_s", f.p95_s).member("p99_s", f.p99_s);
+        w.end_object();
     }
-    os << "\n  ]\n}\n";
+    w.end_array().end_object();
+    os << "\n";
 }
 
 void write_json(const std::filesystem::path& path, const RunReport& r)

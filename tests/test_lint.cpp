@@ -145,6 +145,11 @@ TEST(LintFixtures, BadLockorderMatchesAnnotations)
     expect_matches_annotations("bad_lockorder.cpp");
 }
 
+TEST(LintFixtures, BadJsonMatchesAnnotations)
+{
+    expect_matches_annotations("bad_json.cpp");
+}
+
 TEST(LintFixtures, CleanFixtureIsSilent)
 {
     expect_matches_annotations("clean.cpp");  // zero annotations == zero violations

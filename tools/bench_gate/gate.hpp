@@ -31,8 +31,10 @@
 
 namespace xct::bench_gate {
 
-/// One parsed metric value: numeric when `is_number`, else the raw
-/// string (quotes stripped).
+/// One parsed metric value: numeric when `is_number`, else the string
+/// (quotes stripped).  A JSON null — what the writer emits for a NaN or
+/// infinite measurement — reads as the non-numeric text "null", so every
+/// numeric rule fails it.
 struct Value {
     bool is_number = false;
     double number = 0.0;
@@ -42,8 +44,9 @@ struct Value {
 /// A parsed BENCH document: section -> key -> value.
 using Doc = std::map<std::string, std::map<std::string, Value>>;
 
-/// Parse the flat two-level BENCH JSON.  Throws std::invalid_argument
-/// on malformed input or nesting deeper than two levels.
+/// Parse the flat two-level BENCH JSON (via core/json).  Throws
+/// std::invalid_argument on malformed input or nesting deeper than two
+/// levels.
 Doc parse(const std::string& json);
 Doc parse_file(const std::string& path);
 

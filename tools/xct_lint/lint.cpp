@@ -4,8 +4,11 @@
 #include <cctype>
 #include <fstream>
 #include <functional>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/json.hpp"
 
 namespace xct_lint {
 namespace {
@@ -469,6 +472,21 @@ void rule_ids(const std::string& rel, const Blanked& b, std::vector<Violation>& 
     }
 }
 
+// ----------------------------------------------------------------- json ----
+
+void rule_json(const std::string& rel, const Blanked& b, std::vector<Violation>& out)
+{
+    // A JSON member name, `"ident":` — quotes escaped in an ordinary
+    // literal's source text, bare in a raw string.
+    static const std::regex member_name(R"re("[A-Za-z_]\w*\\?" *:)re");
+    if (path_starts_with(rel, "src/core/json.")) return;
+    for (const Literal& lit : b.literals)
+        if (std::regex_search(lit.text, member_name))
+            out.push_back(Violation{rel, lit.line, "json",
+                                    "string literal spells a JSON member name — build JSON "
+                                    "with core/json's Writer, not by concatenation"});
+}
+
 // ------------------------------------------------------------ lockorder ----
 
 /// Normalise a guarded-mutex expression into a graph node: whitespace
@@ -791,6 +809,7 @@ std::vector<Violation> lint_source(const std::string& rel, const std::string& so
     rule_intloop(rel, b, out);
     rule_mutex(rel, b, out);
     rule_ids(rel, b, out);
+    rule_json(rel, b, out);
     std::sort(out.begin(), out.end(), [](const Violation& a, const Violation& c) {
         return a.line < c.line;
     });
@@ -861,60 +880,6 @@ std::vector<Violation> lint_tree(const std::filesystem::path& root,
 
 namespace {
 
-/// Minimal compile_commands.json reader: split top-level objects, pull
-/// the "directory" and "file" string values out of each.  The format is
-/// machine-written flat JSON (CMake emits it), so a full parser would be
-/// dead weight.
-struct DbEntry {
-    std::string directory;
-    std::string file;
-};
-
-std::string json_string_value(const std::string& obj, const std::string& key)
-{
-    const std::size_t k = obj.find("\"" + key + "\"");
-    if (k == std::string::npos) return {};
-    std::size_t q = obj.find('"', k + key.size() + 2);
-    if (q == std::string::npos) return {};
-    std::string out;
-    for (std::size_t i = q + 1; i < obj.size(); ++i) {
-        const char c = obj[i];
-        if (c == '\\' && i + 1 < obj.size()) {
-            out.push_back(obj[++i]);
-            continue;
-        }
-        if (c == '"') break;
-        out.push_back(c);
-    }
-    return out;
-}
-
-std::vector<DbEntry> parse_compile_db(const std::string& json)
-{
-    std::vector<DbEntry> entries;
-    int depth = 0;
-    std::size_t start = 0;
-    bool in_string = false;
-    for (std::size_t i = 0; i < json.size(); ++i) {
-        const char c = json[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"') in_string = true;
-        if (c == '{' && depth++ == 0) start = i;
-        if (c == '}' && --depth == 0) {
-            const std::string obj = json.substr(start, i - start + 1);
-            DbEntry e{json_string_value(obj, "directory"), json_string_value(obj, "file")};
-            if (!e.file.empty()) entries.push_back(e);
-        }
-    }
-    return entries;
-}
-
 /// Repo-relative generic path for `p` if it lives under `root` and is a
 /// lintable source; empty otherwise.
 std::string lintable_rel(const std::filesystem::path& root, const std::filesystem::path& p,
@@ -981,12 +946,16 @@ std::vector<Violation> lint_compile_db(const std::filesystem::path& root,
                                        const std::filesystem::path& compile_db,
                                        const std::vector<std::string>& scopes)
 {
-    const auto entries = parse_compile_db(read_file(compile_db));
+    const xct::core::Json db = xct::core::Json::parse(read_file(compile_db));
     std::vector<std::string> seen;
     FileSet set;
-    for (const auto& e : entries) {
-        std::filesystem::path p = e.file;
-        if (p.is_relative()) p = std::filesystem::path(e.directory) / p;
+    for (const xct::core::Json& entry : db.array) {
+        const xct::core::Json* file = entry.find("file");
+        if (file == nullptr) continue;
+        std::filesystem::path p = file->as_string("file");
+        const xct::core::Json* dir = entry.find("directory");
+        if (p.is_relative() && dir != nullptr)
+            p = std::filesystem::path(dir->as_string("directory")) / p;
         collect_tu(root, p, scopes, seen, set);
     }
     std::sort(set.begin(), set.end());

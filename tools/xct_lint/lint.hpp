@@ -1,7 +1,7 @@
 #pragma once
 // xct_lint: repo-specific static analysis (DESIGN.md §3d, §3i).
 //
-// Seven rules, each motivated by a bug class this codebase is prone to:
+// Eight rules, each motivated by a bug class this codebase is prone to:
 //
 //  * names     — every string literal passed to a telemetry / fault-site
 //                call (counter, gauge, ScopedTrace, faults::check, ...)
@@ -27,6 +27,10 @@
 //                declaration reopens the cross-axis confusion the types
 //                exist to close (passing a world rank where a group index
 //                was meant compiles fine with index_t everywhere).
+//  * json      — no string literal spelling a JSON member name
+//                (`"ident":`, escaped or raw) outside src/core/json.*:
+//                JSON is written through core/json's one Writer, so the
+//                escaping, number format and layout cannot fork again.
 //  * lockorder — nested MutexLock / UniqueLock acquisitions form a
 //                directed lock graph; any cycle in the whole-program
 //                graph is a potential deadlock and fails the lint.
@@ -40,8 +44,9 @@
 // The checker is a token-level scanner, not a compiler: it strips
 // comments and string/char literals first (so prose never trips rules),
 // then applies per-rule pattern matching on the blanked source.  That
-// keeps it dependency-free and fast enough to run as a ctest on every
-// build.
+// keeps it free of compiler dependencies (its only library is xct_core,
+// for the compile database's JSON) and fast enough to run as a ctest on
+// every build.
 //
 // Two drivers feed the rules:
 //   lint_tree        — recursive directory walk (the v1 driver);
@@ -66,7 +71,7 @@ struct Violation {
     std::string file;  ///< path relative to the scanned root
     int line = 0;      ///< 1-based
     std::string rule;  ///< "names" | "rawmem" | "intloop" | "mutex" |
-                       ///< "ids" | "lockorder" | "deadname"
+                       ///< "ids" | "json" | "lockorder" | "deadname"
     std::string message;
 };
 
