@@ -123,7 +123,8 @@ inline constexpr const char* kMetricAutotuneCandidates = "autotune.candidates";
 // submit seen, accepted the ones admission let in; rejected/shed make the
 // overload policy observable (rejected at admission by reason, shed =
 // accepted-then-dropped expired low-priority work); recovered counts jobs
-// requeued from the journal at restart.  The latency histogram holds
+// requeued from the journal at restart, dropped the journaled jobs whose
+// spec no longer decodes (lost at restart).  The latency histogram holds
 // accepted-job submit->terminal wall seconds — the p99 the overload proof
 // checks against the perfmodel tail bound.
 inline constexpr const char* kMetricServeSubmitted = "serve.submitted";
@@ -135,6 +136,7 @@ inline constexpr const char* kMetricServeCompleted = "serve.completed";
 inline constexpr const char* kMetricServeCancelled = "serve.cancelled";
 inline constexpr const char* kMetricServeFailed = "serve.failed";
 inline constexpr const char* kMetricServeRecovered = "serve.recovered";
+inline constexpr const char* kMetricServeDropped = "serve.dropped";
 inline constexpr const char* kMetricServeLatencySeconds = "serve.job.latency_seconds";
 
 // ---- flight post-mortem reasons (flight::dump_postmortem) ---------------

@@ -91,6 +91,8 @@ public:
 
     /// Jobs requeued from the journal by this engine's recovery.
     index_t recovered_jobs() const { return recovered_; }
+    /// Journaled jobs whose spec no longer decodes, so recovery lost them.
+    index_t dropped_jobs() const { return dropped_; }
     /// Perfmodel tail bound for one accepted job's latency (the overload
     /// proof's p99 ceiling): slack * predicted runtime.
     double tail_bound_s(double predicted_s) const { return cfg_.tail_slack * predicted_s; }
@@ -130,6 +132,7 @@ private:
     std::unique_ptr<Journal> journal_;
     std::vector<std::thread> workers_;
     index_t recovered_ = 0;
+    index_t dropped_ = 0;
 
     void recover();
     void worker_loop();
