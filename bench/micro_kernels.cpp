@@ -295,7 +295,7 @@ void emit_bench_json(const std::string& path)
         core::json::merge_section(
             path, "backproj",
             {{"simd_backend", simd::backend_name()},
-             {"simd_lanes", simd::kLanes},
+             {"simd_lanes", simd::lanes(simd::dispatched())},
              {"updates_per_s_scalar", updates / t_scalar},
              {"updates_per_s_simd", updates / t_simd},
              {"views_per_s_simd", static_cast<double>(g.num_proj) / t_simd},

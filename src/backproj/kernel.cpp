@@ -88,13 +88,65 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
     }
 }
 
+/// What every voxel row of the incremental walk reads, resolved once per
+/// kernel call by bp_vectorised.
+struct Walk {
+    const sim::Texture3& tex;
+    const MatrixPack& pack;
+    const float* texel;        ///< flat texture, [depth][height][width]
+    const std::int32_t* zrow;  ///< circular-row offset table, nv entries
+    index_t nx;                ///< voxels per row
+    float x_hi, y_hi;          ///< last detector column / row
+    float proj_y;              ///< global detector row at texture depth 0
+    std::int32_t plane;        ///< texels per texture plane (height * width)
+    std::int32_t texels;       ///< texels in the texture (depth * plane)
+};
+
+/// Adds every view's contribution to voxel row (j, k) into acc[0, nx).
+using RowWalk = void (*)(const Walk& w, double jj, double kk, float* acc);
+
+// The row walk, compiled once per lane backend from one body.
+namespace scalar {
+namespace simd = xct::simd::scalar;
+#include "backproj/walk_row.inc"
+}  // namespace scalar
+
+#if defined(XCT_SIMD_HAVE_AVX2)
+XCT_SIMD_AVX2_BEGIN
+namespace avx2 {
+namespace simd = xct::simd::avx2;
+#include "backproj/walk_row.inc"
+}  // namespace avx2
+XCT_SIMD_AVX2_END
+#endif
+
+#if defined(XCT_SIMD_HAVE_NEON)
+namespace neon {
+namespace simd = xct::simd::neon;
+#include "backproj/walk_row.inc"
+}  // namespace neon
+#endif
+
+RowWalk row_walk(simd::Backend backend)
+{
+    require(simd::runnable(backend),
+            "backproject_streaming: lane backend not runnable on this host");
+#if defined(XCT_SIMD_HAVE_AVX2)
+    if (backend == simd::Backend::avx2) return &avx2::walk_row;
+#endif
+#if defined(XCT_SIMD_HAVE_NEON)
+    if (backend == simd::Backend::neon) return &neon::walk_row;
+#endif
+    return &scalar::walk_row;
+}
+
 /// The vectorised incremental-walk kernel (the production path).
 ///
 /// Loop structure: view-major over each voxel row; x/y/z are affine in i,
 /// so each lane evaluates fma(i, step, row_constant) — the row constants
 /// are hoisted per (view, row) and computed in double so the walk starts
-/// exact (matching the seed incremental variant).  The inner loop runs
-/// simd::kLanes voxels at a time:
+/// exact (matching the seed incremental variant).  The row walk
+/// (walk_row.inc) runs simd::kLanes voxels at a time:
 ///
 ///   * lane masks: zn > 0 and the detector bounds test combine into one
 ///     blend mask; zn is sanitised to 1 on masked lanes so the divisions
@@ -103,128 +155,59 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
 ///     address mode on u), floor/fraction split, and the four texel reads
 ///     become gathers off a flat base = zrow[t] + s*width + iu, where
 ///     zrow[] pre-resolves the circular depth wrap for every global
-///     detector row t = floor(y) (and t+1) — replacing two mod operations
-///     per sample with one int gather;
+///     detector row t = floor(y) — replacing two mod operations per
+///     sample with one int gather and a wrapping add for row t+1;
 ///   * the row accumulator comes from the per-thread scratch pool and is
 ///     flushed to the volume once per row (checked writes).
 ///
-/// Indices fit int32 by the texture-size require below; gathers are always
-/// in-range because the clamps run before index arithmetic, independent of
-/// the validity mask.
-void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
+/// The OpenMP loop and every header-inline call stay here, outside the
+/// per-ISA code; `row` is the walk of the chosen backend.  Indices fit
+/// int32 by the texture-size require below; gathers are always in-range
+/// because the clamps run before index arithmetic, independent of the
+/// validity mask.
+void bp_vectorised(RowWalk row, const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                    const StreamOffsets& off, index_t nu, index_t nv)
 {
     require(pack.views() == tex.height(),
             "backproject_streaming: texture height must equal the view count");
     require(tex.width() == nu, "backproject_streaming: texture width must equal Nu");
     const Dim3 d = vol.size();
-    const index_t views = pack.views();
     const index_t width = tex.width();
     const index_t height = tex.height();
     const index_t depth = tex.depth();
     require(depth * height * width <
                 static_cast<index_t>(std::numeric_limits<std::int32_t>::max()),
             "backproject_streaming: texture too large for int32 gather indices");
-    const float* texel = tex.device_span().data();
-    const float x_hi = static_cast<float>(nu - 1);
-    const float y_hi = static_cast<float>(nv - 1);
-    constexpr index_t W = simd::kLanes;
 
     // Circular-row offset table: global detector row t -> flat offset of
     // its texture plane, zrow[t] = ((t - proj_y) mod depth)*height*width.
-    // After clamping y to [0, y_hi], t = floor(y) is in [0, nv-1] and the
-    // bilinear partner row t+1 is in [1, nv] — table size nv + 1.
-    scratch::Buffer<std::int32_t> zrow_lease(static_cast<std::size_t>(nv + 1));
+    // After clamping y to [0, y_hi], t = floor(y) is in [0, nv-1]; the walk
+    // derives the bilinear partner row t+1 from zrow[t] by a wrapping add.
+    scratch::Buffer<std::int32_t> zrow_lease(static_cast<std::size_t>(nv));
     std::int32_t* zrow = zrow_lease.data();
-    for (index_t t = 0; t <= nv; ++t) {
+    for (index_t t = 0; t < nv; ++t) {
         index_t zz = (t - off.proj_y) % depth;
         if (zz < 0) zz += depth;
         zrow[t] = static_cast<std::int32_t>(zz * height * width);
     }
-
-    const simd::VecF viota = simd::iota();
-    const simd::VecF vzero = simd::splat(0.0f);
-    const simd::VecF vone = simd::splat(1.0f);
-    const simd::VecF vxhi = simd::splat(x_hi);
-    const simd::VecF vyhi = simd::splat(y_hi);
-    const simd::VecI vone_i = simd::splat_i(1);
+    const Walk w{tex,
+                 pack,
+                 tex.device_span().data(),
+                 zrow,
+                 d.x,
+                 static_cast<float>(nu - 1),
+                 static_cast<float>(nv - 1),
+                 static_cast<float>(off.proj_y),
+                 static_cast<std::int32_t>(height * width),
+                 static_cast<std::int32_t>(depth * height * width)};
 
 #pragma omp parallel for collapse(2) schedule(static)
     for (index_t k = 0; k < d.z; ++k) {
         for (index_t j = 0; j < d.y; ++j) {
-            const double kk = static_cast<double>(k + off.volume_z);
-            const double jj = static_cast<double>(j);
             scratch::Buffer<float> acc_lease(static_cast<std::size_t>(d.x));
             float* acc = acc_lease.data();
             for (index_t i = 0; i < d.x; ++i) acc[i] = 0.0f;
-            for (index_t s = 0; s < views; ++s) {
-                const Mat34& m = pack.dmat(s);
-                const auto& f = pack.fmat(s);
-                // Row constants at i = 0 (double precision so the affine
-                // walk starts exact — same contract as the seed
-                // incremental variant).
-                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk + m[0].w);
-                const float yn0 = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
-                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk + m[2].w);
-                const float dxn = f[0];
-                const float dyn = f[4];
-                const float dzn = f[8];
-
-                const simd::VecF vxn0 = simd::splat(xn0);
-                const simd::VecF vyn0 = simd::splat(yn0);
-                const simd::VecF vzn0 = simd::splat(zn0);
-                const simd::VecF vdxn = simd::splat(dxn);
-                const simd::VecF vdyn = simd::splat(dyn);
-                const simd::VecF vdzn = simd::splat(dzn);
-                const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
-
-                index_t i = 0;
-                for (; i + W <= d.x; i += W) {
-                    const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
-                    const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
-                    const simd::Mask zpos = simd::cmp_gt(zn, vzero);
-                    const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
-                    const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
-                    const simd::VecF y = simd::fmadd(ii, vdyn, vyn0) / zn_safe;
-                    const simd::Mask ok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi) &
-                                          simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
-                    if (simd::none(ok)) continue;
-                    const simd::VecF xc = simd::clamp(x, vzero, vxhi);
-                    const simd::VecF yc = simd::clamp(y, vzero, vyhi);
-                    const simd::VecF fx = simd::floor_(xc);
-                    const simd::VecF fy = simd::floor_(yc);
-                    const simd::VecF du = xc - fx;
-                    const simd::VecF dv = yc - fy;
-                    const simd::VecI iu0 = simd::to_int(fx);
-                    const simd::VecI iu1 = simd::to_int(simd::min_(fx + vone, vxhi));
-                    const simd::VecI t0 = simd::to_int(fy);
-                    const simd::VecI t1 = t0 + vone_i;
-                    const simd::VecI z0 = simd::gather_i(zrow, t0) + vsrow;
-                    const simd::VecI z1 = simd::gather_i(zrow, t1) + vsrow;
-                    const simd::VecF f00 = simd::gather(texel, z0 + iu0);
-                    const simd::VecF f01 = simd::gather(texel, z0 + iu1);
-                    const simd::VecF f10 = simd::gather(texel, z1 + iu0);
-                    const simd::VecF f11 = simd::gather(texel, z1 + iu1);
-                    const simd::VecF one_du = vone - du;
-                    const simd::VecF one_dv = vone - dv;
-                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
-                                           (f10 * one_du + f11 * du) * dv;
-                    const simd::VecF wgt = vone / (zn_safe * zn_safe);
-                    const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
-                    simd::store(acc + i, simd::load(acc + i) + contrib);
-                }
-                // Scalar tail (d.x % kLanes voxels), same affine walk.
-                for (; i < d.x; ++i) {
-                    const float fi = static_cast<float>(i);
-                    const float zn = fi * dzn + zn0;
-                    if (zn <= 0.0f) continue;
-                    const float x = (fi * dxn + xn0) / zn;
-                    const float y = (fi * dyn + yn0) / zn;
-                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
-                    acc[i] += 1.0f / (zn * zn) *
-                              dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
-                }
-            }
+            row(w, static_cast<double>(j), static_cast<double>(k + off.volume_z), acc);
             for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[i];
         }
     }
@@ -235,7 +218,8 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
 void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                            const StreamOffsets& off, index_t nu, index_t nv)
 {
-    bp_vectorised(tex, pack, vol, off, nu, nv);
+    static const RowWalk row = row_walk(simd::dispatched());
+    bp_vectorised(row, tex, pack, vol, off, nu, nv);
 }
 
 void backproject_streaming(const sim::Texture3& tex, std::span<const Mat34> mats, Volume& vol,
@@ -273,6 +257,13 @@ void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const
                                        index_t nv)
 {
     backproject_streaming(tex, mats, vol, off, nu, nv);
+}
+
+void detail::backproject_streaming_on(simd::Backend backend, const sim::Texture3& tex,
+                                      const MatrixPack& pack, Volume& vol,
+                                      const StreamOffsets& off, index_t nu, index_t nv)
+{
+    bp_vectorised(row_walk(backend), tex, pack, vol, off, nu, nv);
 }
 
 }  // namespace xct::backproj

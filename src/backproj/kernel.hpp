@@ -18,19 +18,23 @@
 //   offset_proj_y.
 //
 // Performance layer (DESIGN.md §3e): the default backproject_streaming is
-// the incremental-walk variant with an explicit-SIMD inner loop over i
-// (core/simd.hpp; AVX2/NEON when XCT_SIMD is ON, scalar lanes otherwise):
+// the incremental-walk variant with an explicit-SIMD inner loop over i:
 // lane-wise zn<=0 / detector-bounds masks, fused bilinear gathers off a
 // precomputed circular-row offset table, hoisted per-view row constants,
-// pooled row accumulators.  The original Listing-1 loop is retained as
-// backproject_streaming_scalar and the agreement bound is documented below
-// (kSimdVsScalarRelBound, asserted in test_simd/test_backproj).
+// pooled row accumulators.  The walk is compiled once per lane backend of
+// core/simd.hpp, and the first call picks the one simd::dispatched()
+// names: AVX2 on an x86-64 CPU with AVX2 and FMA, NEON on aarch64, scalar
+// lanes otherwise or when XCT_SIMD is OFF.  The original Listing-1 loop is
+// retained as backproject_streaming_scalar and the agreement bound is
+// documented below (kSimdVsScalarRelBound, asserted in test_simd /
+// test_backproj for every backend the host runs).
 
 #include <array>
 #include <span>
 #include <vector>
 
 #include "core/geometry.hpp"
+#include "core/simd.hpp"
 #include "core/volume.hpp"
 #include "sim/device.hpp"
 
@@ -107,6 +111,15 @@ void backproject_streaming_q8(const sim::QuantizedTexture3& tex, std::span<const
 void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const Mat34> mats,
                                        Volume& vol, const StreamOffsets& off, index_t nu,
                                        index_t nv);
+
+namespace detail {
+/// backproject_streaming on the named lane backend instead of the
+/// dispatched one, so tests can run every backend the host supports.
+/// Throws std::invalid_argument unless simd::runnable(backend).
+void backproject_streaming_on(simd::Backend backend, const sim::Texture3& tex,
+                              const MatrixPack& pack, Volume& vol, const StreamOffsets& off,
+                              index_t nu, index_t nv);
+}  // namespace detail
 
 /// Documented agreement bound between the vectorised default kernel and
 /// the scalar Listing-1 loop:

@@ -4,23 +4,39 @@
 // Exposes a fixed-width lane abstraction (VecF / VecI / Mask) with exactly
 // the operations the streaming back-projection inner loop needs: splat,
 // affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
-// blend masks, int conversion and gathers from flat arrays.  Three
-// backends, chosen at compile time:
+// blend masks, int conversion and gathers from flat arrays.  Each backend
+// is a namespace holding the same names, so one kernel body compiles
+// against any of them (backproj/kernel.cpp includes its row walk once per
+// backend):
 //
-//   * AVX2 (8 lanes)  — x86-64, selected when the compiler sets __AVX2__
-//     (e.g. -march=native on any post-2013 core);
-//   * NEON (4 lanes)  — aarch64 (__ARM_NEON);
-//   * scalar fallback — plain arrays of kLanes elements, used when the
-//     XCT_SIMD CMake option is OFF or no vector ISA is available.  The
-//     loops are trivially auto-vectorisable, and — more importantly — the
-//     fallback keeps the *same* rounding behaviour contract, so tests and
-//     sanitizer legs exercise the identical control flow.
+//   * simd::scalar (8 lanes) — plain arrays of kLanes elements, always
+//     compiled, and the only backend when the XCT_SIMD CMake option is
+//     OFF.  It keeps the same rounding contract, so tests and sanitizer
+//     legs exercise the identical control flow;
+//   * simd::avx2 (8 lanes) — x86-64 with XCT_SIMD ON, whatever the
+//     build's -march: compiled inside an XCT_SIMD_AVX2_BEGIN/END region
+//     (target "avx2,fma") and run only when the host CPU has both;
+//   * simd::neon (4 lanes) — aarch64 with XCT_SIMD ON.  NEON is baseline
+//     there, so it is compiled normally and always the one run.
+//
+// dispatched() picks the widest backend the host runs, and backend_name()
+// names it.
+//
+// ISA confinement: code inside an XCT_SIMD_AVX2 region may use AVX2, so
+// the region holds only definitions in an `avx2` namespace, and every
+// header its code uses is included before the region opens.  A
+// header-inline function first defined inside the region would carry AVX2
+// code, and the linker may keep that copy for callers on any CPU
+// (tests/check_isa_confinement.sh guards this).  Vector types never cross
+// between the region and default-target code: callers outside it pass
+// plain pointers and scalars.
 //
 // Semantics contract (what the backends must agree on):
 //   * all lane operations are IEEE single precision, one rounding per op
 //     (fmadd may fuse — results are ULP-bounded, not bitwise, against the
 //     scalar kernel; see test_simd for the documented bounds);
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
+//   * min_u compares its int32 lanes as unsigned;
 //   * gathers read base[idx[lane]] for every lane — callers mask/clamp
 //     indices BEFORE gathering, out-of-range lanes are not tolerated.
 
@@ -29,159 +45,56 @@
 
 #include <cmath>
 
-#if defined(XCT_SIMD_ENABLED) && defined(__AVX2__)
-#define XCT_SIMD_BACKEND_AVX2 1
+#if defined(XCT_SIMD_ENABLED) && defined(__x86_64__)
+#define XCT_SIMD_HAVE_AVX2 1
 #include <immintrin.h>
-#elif defined(XCT_SIMD_ENABLED) && defined(__ARM_NEON)
-#define XCT_SIMD_BACKEND_NEON 1
-#include <arm_neon.h>
+#if defined(__clang__)
+#define XCT_SIMD_AVX2_BEGIN \
+    _Pragma("clang attribute push(__attribute__((target(\"avx2,fma\"))), apply_to = function)")
+#define XCT_SIMD_AVX2_END _Pragma("clang attribute pop")
 #else
-#define XCT_SIMD_BACKEND_SCALAR 1
+#define XCT_SIMD_AVX2_BEGIN _Pragma("GCC push_options") _Pragma("GCC target(\"avx2,fma\")")
+#define XCT_SIMD_AVX2_END _Pragma("GCC pop_options")
+#endif
+#elif defined(XCT_SIMD_ENABLED) && defined(__ARM_NEON)
+#define XCT_SIMD_HAVE_NEON 1
+#include <arm_neon.h>
 #endif
 
 namespace xct::simd {
 
-#if defined(XCT_SIMD_BACKEND_AVX2)
+enum class Backend { scalar, avx2, neon };
+inline constexpr Backend kBackends[] = {Backend::scalar, Backend::avx2, Backend::neon};
+
+/// The backend's name as run reports and BENCH sections record it.
+constexpr const char* name(Backend b)
+{
+    switch (b) {
+    case Backend::avx2: return "avx2";
+    case Backend::neon: return "neon";
+    case Backend::scalar: break;
+    }
+    return "scalar";
+}
+
+constexpr int lanes(Backend b) { return b == Backend::neon ? 4 : 8; }
+
+// Defined in simd.cpp, so the answer comes from the library's build
+// flags, not from the macros of whichever file includes this header.
+
+/// True when `b` is compiled into this build and the host CPU runs it.
+bool runnable(Backend b);
+
+/// The backend the kernels run: the widest one the host can.  The CPU is
+/// probed once per process.
+Backend dispatched();
+
+/// Name of the dispatched backend.
+const char* backend_name();
+
+namespace scalar {
 
 inline constexpr int kLanes = 8;
-inline constexpr const char* backend_name() { return "avx2"; }
-
-struct VecF {
-    __m256 v;
-};
-struct VecI {
-    __m256i v;
-};
-struct Mask {
-    __m256 m;
-};
-
-inline VecF splat(float x) { return {_mm256_set1_ps(x)}; }
-inline VecF iota()
-{
-    return {_mm256_setr_ps(0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f)};
-}
-inline VecF load(const float* p) { return {_mm256_loadu_ps(p)}; }
-inline void store(float* p, VecF a) { _mm256_storeu_ps(p, a.v); }
-
-inline VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
-inline VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
-inline VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-inline VecF operator/(VecF a, VecF b) { return {_mm256_div_ps(a.v, b.v)}; }
-
-/// a*b + c (fused when the target has FMA; one extra rounding otherwise).
-inline VecF fmadd(VecF a, VecF b, VecF c)
-{
-#if defined(__FMA__)
-    return {_mm256_fmadd_ps(a.v, b.v, c.v)};
-#else
-    return {_mm256_add_ps(_mm256_mul_ps(a.v, b.v), c.v)};
-#endif
-}
-
-inline VecF floor_(VecF a) { return {_mm256_floor_ps(a.v)}; }
-inline VecF min_(VecF a, VecF b) { return {_mm256_min_ps(a.v, b.v)}; }
-inline VecF max_(VecF a, VecF b) { return {_mm256_max_ps(a.v, b.v)}; }
-
-inline Mask cmp_gt(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ)}; }
-inline Mask cmp_ge(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ)}; }
-inline Mask cmp_le(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_LE_OQ)}; }
-inline Mask operator&(Mask a, Mask b) { return {_mm256_and_ps(a.m, b.m)}; }
-inline bool none(Mask m) { return _mm256_movemask_ps(m.m) == 0; }
-inline VecF blend(Mask m, VecF a, VecF b) { return {_mm256_blendv_ps(b.v, a.v, m.m)}; }
-
-/// Truncating float->int32 conversion (callers floor first).
-inline VecI to_int(VecF a) { return {_mm256_cvttps_epi32(a.v)}; }
-inline VecI splat_i(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
-inline VecI operator+(VecI a, VecI b) { return {_mm256_add_epi32(a.v, b.v)}; }
-inline VecI load_i(const std::int32_t* p)
-{
-    return {_mm256_setr_epi32(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])};
-}
-inline void store_i(std::int32_t* p, VecI a)
-{
-    // Bit-preserving spill through the float view (no pointer punning).
-    float tmp[kLanes];
-    _mm256_storeu_ps(tmp, _mm256_castsi256_ps(a.v));
-    std::memcpy(p, tmp, sizeof(tmp));
-}
-
-inline VecF gather(const float* base, VecI idx)
-{
-    return {_mm256_i32gather_ps(base, idx.v, 4)};
-}
-inline VecI gather_i(const std::int32_t* base, VecI idx)
-{
-    return {_mm256_i32gather_epi32(base, idx.v, 4)};
-}
-
-#elif defined(XCT_SIMD_BACKEND_NEON)
-
-inline constexpr int kLanes = 4;
-inline constexpr const char* backend_name() { return "neon"; }
-
-struct VecF {
-    float32x4_t v;
-};
-struct VecI {
-    int32x4_t v;
-};
-struct Mask {
-    uint32x4_t m;
-};
-
-inline VecF splat(float x) { return {vdupq_n_f32(x)}; }
-inline VecF iota()
-{
-    const float lanes[4] = {0.0f, 1.0f, 2.0f, 3.0f};
-    return {vld1q_f32(lanes)};
-}
-inline VecF load(const float* p) { return {vld1q_f32(p)}; }
-inline void store(float* p, VecF a) { vst1q_f32(p, a.v); }
-
-inline VecF operator+(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
-inline VecF operator-(VecF a, VecF b) { return {vsubq_f32(a.v, b.v)}; }
-inline VecF operator*(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
-inline VecF operator/(VecF a, VecF b) { return {vdivq_f32(a.v, b.v)}; }
-
-inline VecF fmadd(VecF a, VecF b, VecF c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
-
-inline VecF floor_(VecF a) { return {vrndmq_f32(a.v)}; }
-inline VecF min_(VecF a, VecF b) { return {vminq_f32(a.v, b.v)}; }
-inline VecF max_(VecF a, VecF b) { return {vmaxq_f32(a.v, b.v)}; }
-
-inline Mask cmp_gt(VecF a, VecF b) { return {vcgtq_f32(a.v, b.v)}; }
-inline Mask cmp_ge(VecF a, VecF b) { return {vcgeq_f32(a.v, b.v)}; }
-inline Mask cmp_le(VecF a, VecF b) { return {vcleq_f32(a.v, b.v)}; }
-inline Mask operator&(Mask a, Mask b) { return {vandq_u32(a.m, b.m)}; }
-inline bool none(Mask m) { return vmaxvq_u32(m.m) == 0; }
-inline VecF blend(Mask m, VecF a, VecF b) { return {vbslq_f32(m.m, a.v, b.v)}; }
-
-inline VecI to_int(VecF a) { return {vcvtq_s32_f32(a.v)}; }
-inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
-inline VecI operator+(VecI a, VecI b) { return {vaddq_s32(a.v, b.v)}; }
-inline VecI load_i(const std::int32_t* p) { return {vld1q_s32(p)}; }
-inline void store_i(std::int32_t* p, VecI a) { vst1q_s32(p, a.v); }
-
-inline VecF gather(const float* base, VecI idx)
-{
-    std::int32_t ix[4];
-    vst1q_s32(ix, idx.v);
-    const float lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
-    return {vld1q_f32(lanes)};
-}
-inline VecI gather_i(const std::int32_t* base, VecI idx)
-{
-    std::int32_t ix[4];
-    vst1q_s32(ix, idx.v);
-    const std::int32_t lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
-    return {vld1q_s32(lanes)};
-}
-
-#else  // scalar fallback
-
-inline constexpr int kLanes = 8;
-inline constexpr const char* backend_name() { return "scalar"; }
 
 struct VecF {
     float v[kLanes];
@@ -322,6 +235,23 @@ inline VecI operator+(VecI a, VecI b)
     for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] + b.v[l];
     return r;
 }
+inline VecI operator-(VecI a, VecI b)
+{
+    VecI r;
+    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] - b.v[l];
+    return r;
+}
+/// Lane-wise minimum with both operands read as unsigned 32-bit.
+inline VecI min_u(VecI a, VecI b)
+{
+    VecI r;
+    for (int l = 0; l < kLanes; ++l) {
+        const auto ua = static_cast<std::uint32_t>(a.v[l]);
+        const auto ub = static_cast<std::uint32_t>(b.v[l]);
+        r.v[l] = ua < ub ? a.v[l] : b.v[l];
+    }
+    return r;
+}
 inline VecI load_i(const std::int32_t* p)
 {
     VecI r;
@@ -346,9 +276,161 @@ inline VecI gather_i(const std::int32_t* base, VecI idx)
     return r;
 }
 
-#endif
+/// Clamp every lane to [lo, hi].
+inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
+
+}  // namespace scalar
+
+#if defined(XCT_SIMD_HAVE_AVX2)
+XCT_SIMD_AVX2_BEGIN
+namespace avx2 {
+
+inline constexpr int kLanes = 8;
+
+struct VecF {
+    __m256 v;
+};
+struct VecI {
+    __m256i v;
+};
+struct Mask {
+    __m256 m;
+};
+
+inline VecF splat(float x) { return {_mm256_set1_ps(x)}; }
+inline VecF iota()
+{
+    return {_mm256_setr_ps(0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f)};
+}
+inline VecF load(const float* p) { return {_mm256_loadu_ps(p)}; }
+inline void store(float* p, VecF a) { _mm256_storeu_ps(p, a.v); }
+
+inline VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
+inline VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
+inline VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
+inline VecF operator/(VecF a, VecF b) { return {_mm256_div_ps(a.v, b.v)}; }
+
+/// a*b + c, fused (the region's target includes FMA).
+inline VecF fmadd(VecF a, VecF b, VecF c) { return {_mm256_fmadd_ps(a.v, b.v, c.v)}; }
+
+inline VecF floor_(VecF a) { return {_mm256_floor_ps(a.v)}; }
+inline VecF min_(VecF a, VecF b) { return {_mm256_min_ps(a.v, b.v)}; }
+inline VecF max_(VecF a, VecF b) { return {_mm256_max_ps(a.v, b.v)}; }
+
+inline Mask cmp_gt(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ)}; }
+inline Mask cmp_ge(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ)}; }
+inline Mask cmp_le(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_LE_OQ)}; }
+inline Mask operator&(Mask a, Mask b) { return {_mm256_and_ps(a.m, b.m)}; }
+inline bool none(Mask m) { return _mm256_movemask_ps(m.m) == 0; }
+inline VecF blend(Mask m, VecF a, VecF b) { return {_mm256_blendv_ps(b.v, a.v, m.m)}; }
+
+/// Truncating float->int32 conversion (callers floor first).
+inline VecI to_int(VecF a) { return {_mm256_cvttps_epi32(a.v)}; }
+inline VecI splat_i(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
+inline VecI operator+(VecI a, VecI b) { return {_mm256_add_epi32(a.v, b.v)}; }
+inline VecI operator-(VecI a, VecI b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+inline VecI min_u(VecI a, VecI b) { return {_mm256_min_epu32(a.v, b.v)}; }
+inline VecI load_i(const std::int32_t* p)
+{
+    return {_mm256_setr_epi32(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])};
+}
+inline void store_i(std::int32_t* p, VecI a)
+{
+    // Bit-preserving spill through the float view (no pointer punning).
+    float tmp[kLanes];
+    _mm256_storeu_ps(tmp, _mm256_castsi256_ps(a.v));
+    std::memcpy(p, tmp, sizeof(tmp));
+}
+
+inline VecF gather(const float* base, VecI idx)
+{
+    return {_mm256_i32gather_ps(base, idx.v, 4)};
+}
+inline VecI gather_i(const std::int32_t* base, VecI idx)
+{
+    return {_mm256_i32gather_epi32(base, idx.v, 4)};
+}
 
 /// Clamp every lane to [lo, hi].
 inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
+
+}  // namespace avx2
+XCT_SIMD_AVX2_END
+#endif
+
+#if defined(XCT_SIMD_HAVE_NEON)
+namespace neon {
+
+inline constexpr int kLanes = 4;
+
+struct VecF {
+    float32x4_t v;
+};
+struct VecI {
+    int32x4_t v;
+};
+struct Mask {
+    uint32x4_t m;
+};
+
+inline VecF splat(float x) { return {vdupq_n_f32(x)}; }
+inline VecF iota()
+{
+    const float lanes[4] = {0.0f, 1.0f, 2.0f, 3.0f};
+    return {vld1q_f32(lanes)};
+}
+inline VecF load(const float* p) { return {vld1q_f32(p)}; }
+inline void store(float* p, VecF a) { vst1q_f32(p, a.v); }
+
+inline VecF operator+(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
+inline VecF operator-(VecF a, VecF b) { return {vsubq_f32(a.v, b.v)}; }
+inline VecF operator*(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
+inline VecF operator/(VecF a, VecF b) { return {vdivq_f32(a.v, b.v)}; }
+
+inline VecF fmadd(VecF a, VecF b, VecF c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
+
+inline VecF floor_(VecF a) { return {vrndmq_f32(a.v)}; }
+inline VecF min_(VecF a, VecF b) { return {vminq_f32(a.v, b.v)}; }
+inline VecF max_(VecF a, VecF b) { return {vmaxq_f32(a.v, b.v)}; }
+
+inline Mask cmp_gt(VecF a, VecF b) { return {vcgtq_f32(a.v, b.v)}; }
+inline Mask cmp_ge(VecF a, VecF b) { return {vcgeq_f32(a.v, b.v)}; }
+inline Mask cmp_le(VecF a, VecF b) { return {vcleq_f32(a.v, b.v)}; }
+inline Mask operator&(Mask a, Mask b) { return {vandq_u32(a.m, b.m)}; }
+inline bool none(Mask m) { return vmaxvq_u32(m.m) == 0; }
+inline VecF blend(Mask m, VecF a, VecF b) { return {vbslq_f32(m.m, a.v, b.v)}; }
+
+inline VecI to_int(VecF a) { return {vcvtq_s32_f32(a.v)}; }
+inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
+inline VecI operator+(VecI a, VecI b) { return {vaddq_s32(a.v, b.v)}; }
+inline VecI operator-(VecI a, VecI b) { return {vsubq_s32(a.v, b.v)}; }
+inline VecI min_u(VecI a, VecI b)
+{
+    const uint32x4_t m = vminq_u32(vreinterpretq_u32_s32(a.v), vreinterpretq_u32_s32(b.v));
+    return {vreinterpretq_s32_u32(m)};
+}
+inline VecI load_i(const std::int32_t* p) { return {vld1q_s32(p)}; }
+inline void store_i(std::int32_t* p, VecI a) { vst1q_s32(p, a.v); }
+
+inline VecF gather(const float* base, VecI idx)
+{
+    std::int32_t ix[4];
+    vst1q_s32(ix, idx.v);
+    const float lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
+    return {vld1q_f32(lanes)};
+}
+inline VecI gather_i(const std::int32_t* base, VecI idx)
+{
+    std::int32_t ix[4];
+    vst1q_s32(ix, idx.v);
+    const std::int32_t lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
+    return {vld1q_s32(lanes)};
+}
+
+/// Clamp every lane to [lo, hi].
+inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
+
+}  // namespace neon
+#endif
 
 }  // namespace xct::simd

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/check.hpp"
+#include "core/pages.hpp"
 #include "core/types.hpp"
 
 namespace xct {
@@ -68,7 +69,7 @@ public:
 
 private:
     Dim3 size_{};
-    std::vector<float> data_;
+    core::PageVector<float> data_;
 };
 
 /// Owning stack of (partial) projections.
@@ -158,7 +159,7 @@ private:
     index_t views_ = 0;
     Range band_{};
     index_t cols_ = 0;
-    std::vector<float> data_;
+    core::PageVector<float> data_;
 };
 
 }  // namespace xct

@@ -240,7 +240,7 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
         if (!takeovers.empty()) tk_engine.emplace(cfg.geometry, cfg.window);
 
         const bool is_root = gcomm.rank() == 0;
-        std::vector<float> recv;
+        core::PageVector<float> recv;
         index_t next_slab = first_live;  // reduce is called once per live slab, in order
 
         auto reduce = [&](Volume& slab, const SlabPlan& plan) {

@@ -245,11 +245,11 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         // recycling them makes the steady state allocation-free once
         // every buffer has grown to the largest band.
         std::optional<pipeline::BoundedQueue<BpItem>> qp;
-        std::optional<pipeline::BoundedQueue<std::vector<float>>> qbuf;
+        std::optional<pipeline::BoundedQueue<core::PageVector<float>>> qbuf;
         if (cfg.prefetch) {
             qp.emplace(qd);
             qbuf.emplace(qd + 1);
-            for (std::size_t i = 0; i < qd + 1; ++i) qbuf->push(std::vector<float>{});
+            for (std::size_t i = 0; i < qd + 1; ++i) qbuf->push(core::PageVector<float>{});
         }
 
         // Stage threads inherit the rank tag of the calling (minimpi rank)

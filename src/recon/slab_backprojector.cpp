@@ -47,7 +47,7 @@ SlabBackprojector::SlabBackprojector(const Config& cfg, const std::vector<SlabPl
 }
 
 SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStack& band,
-                                                            std::vector<float> storage) const
+                                                            core::PageVector<float> storage) const
 {
     const index_t views = band.views();
     const index_t nu = band.cols();
@@ -78,7 +78,7 @@ SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStac
 }
 
 SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBand& e,
-                                                            std::vector<float> storage) const
+                                                            core::PageVector<float> storage) const
 {
     // A transit bit-flip surfaces as IntegrityError (a TransientError);
     // the source EncodedBand is intact, so a retried decode recovers.

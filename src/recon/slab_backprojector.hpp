@@ -56,7 +56,7 @@ public:
             index_t nplanes = 0;  ///< consecutive planes in this run
         };
         std::vector<Segment> segments;
-        std::vector<float> planes;
+        core::PageVector<float> planes;
         /// Bytes this band moved over the wire before staging (q8 payload
         /// + header); 0 means raw fp32 — commit bills texel bytes.
         std::size_t wire_bytes = 0;
@@ -67,12 +67,12 @@ public:
     /// device traffic, no fault gates — so commit_band(stage_band(b)) is
     /// bitwise-identical to the historical one-shot upload_band(b).
     /// `storage` is recycled as the staging buffer (resized as needed).
-    StagedBand stage_band(const ProjectionStack& band, std::vector<float> storage = {}) const;
+    StagedBand stage_band(const ProjectionStack& band, core::PageVector<float> storage = {}) const;
 
     /// Decode a q8 band (site "band.decode", digest-verified, retried
     /// under the configured policy) and gather it.  wire_bytes is set so
     /// commit bills the compressed transport, not fp32 texels.
-    StagedBand stage_band(const io::EncodedBand& e, std::vector<float> storage = {}) const;
+    StagedBand stage_band(const io::EncodedBand& e, core::PageVector<float> storage = {}) const;
 
     /// Device half: copy the staged segments into the circular texture
     /// (the simulated cudaMemcpy3D calls, fault-gated + digest-verified

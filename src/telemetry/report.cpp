@@ -6,6 +6,7 @@
 
 #include "core/json.hpp"
 #include "core/names.hpp"
+#include "core/simd.hpp"
 
 namespace xct::telemetry::report {
 
@@ -201,7 +202,8 @@ void write_json(std::ostream& os, const RunReport& r)
     w.key("detector").begin_array().value(g.nu).value(g.nv).end_array();
     w.member("views", g.num_proj).member("groups", r.config.layout.num_groups);
     w.member("ranks_per_group", r.config.layout.ranks_per_group);
-    w.member("batches", r.config.batches).end_object();
+    w.member("batches", r.config.batches).member("simd_backend", simd::backend_name());
+    w.end_object();
     w.key("model").begin_object().member("runtime_s", r.predicted_runtime_s);
     w.member("gups", r.predicted_gups).member("binding_stage", r.binding_stage).end_object();
     w.key("measured").begin_object().member("wall_s", r.measured_wall_s);

@@ -49,6 +49,14 @@ float max_abs(std::span<const float> v)
     return m;
 }
 
+/// The streaming kernel on lane backend `b`.  The kSimdVsScalarRelBound
+/// cases below run every backend the host supports through this.
+void streaming_on(simd::Backend b, const sim::Texture3& tex, std::span<const Mat34> mats,
+                  Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
+{
+    detail::backproject_streaming_on(b, tex, MatrixPack(mats), vol, off, nu, nv);
+}
+
 /// Upload full frames into a texture laid out as the streaming kernel
 /// expects (x = u, y = view, z = detector row).
 sim::Texture3 make_texture(sim::Device& dev, const ProjectionStack& p, Range band)
@@ -155,13 +163,16 @@ TEST(Streaming, DefaultMatchesReferenceWithinSimdBound)
 
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
-    Volume out(g.vol);
-    backproject_streaming(tex, mats, out, StreamOffsets{0, 0}, g.nu, g.nv);
-
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
-    for (index_t i = 0; i < out.count(); ++i)
-        ASSERT_NEAR(out.span()[static_cast<std::size_t>(i)],
-                    ref.span()[static_cast<std::size_t>(i)], tol);
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        Volume out(g.vol);
+        streaming_on(b, tex, mats, out, StreamOffsets{0, 0}, g.nu, g.nv);
+        for (index_t i = 0; i < out.count(); ++i)
+            ASSERT_NEAR(out.span()[static_cast<std::size_t>(i)],
+                        ref.span()[static_cast<std::size_t>(i)], tol)
+                << simd::name(b);
+    }
 }
 
 TEST(Streaming, SlabsWithOffsetsTileTheFullVolume)
@@ -177,15 +188,18 @@ TEST(Streaming, SlabsWithOffsetsTileTheFullVolume)
     const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
     const index_t nb = 7;  // deliberately not dividing Nz
-    for (index_t k0 = 0; k0 < g.vol.z; k0 += nb) {
-        const index_t len = std::min(nb, g.vol.z - k0);
-        Volume slab(Dim3{g.vol.x, g.vol.y, len});
-        backproject_streaming(tex, mats, slab, StreamOffsets{k0, 0}, g.nu, g.nv);
-        for (index_t k = 0; k < len; ++k)
-            for (index_t j = 0; j < g.vol.y; ++j)
-                for (index_t i = 0; i < g.vol.x; ++i)
-                    ASSERT_NEAR(slab.at(i, j, k), ref.at(i, j, k0 + k), tol)
-                        << i << "," << j << "," << k0 + k;
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        for (index_t k0 = 0; k0 < g.vol.z; k0 += nb) {
+            const index_t len = std::min(nb, g.vol.z - k0);
+            Volume slab(Dim3{g.vol.x, g.vol.y, len});
+            streaming_on(b, tex, mats, slab, StreamOffsets{k0, 0}, g.nu, g.nv);
+            for (index_t k = 0; k < len; ++k)
+                for (index_t j = 0; j < g.vol.y; ++j)
+                    for (index_t i = 0; i < g.vol.x; ++i)
+                        ASSERT_NEAR(slab.at(i, j, k), ref.at(i, j, k0 + k), tol)
+                            << simd::name(b) << " " << i << "," << j << "," << k0 + k;
+        }
     }
 }
 
@@ -202,13 +216,16 @@ TEST(Streaming, BandRestrictedTextureMatchesFullForItsSlab)
 
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, band);
-    Volume out(Dim3{g.vol.x, g.vol.y, slab.length()});
-    backproject_streaming(tex, mats, out, StreamOffsets{slab.lo, band.lo}, g.nu, g.nv);
-
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
-    for (index_t i = 0; i < out.count(); ++i)
-        ASSERT_NEAR(out.span()[static_cast<std::size_t>(i)],
-                    ref.span()[static_cast<std::size_t>(i)], tol);
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        Volume out(Dim3{g.vol.x, g.vol.y, slab.length()});
+        streaming_on(b, tex, mats, out, StreamOffsets{slab.lo, band.lo}, g.nu, g.nv);
+        for (index_t i = 0; i < out.count(); ++i)
+            ASSERT_NEAR(out.span()[static_cast<std::size_t>(i)],
+                        ref.span()[static_cast<std::size_t>(i)], tol)
+                << simd::name(b);
+    }
 }
 
 TEST(Streaming, CircularDepthReusePreservesResults)
@@ -242,16 +259,18 @@ TEST(Streaming, CircularDepthReusePreservesResults)
             tex.copy_planes(plane, (v - origin) % h, 1);
         }
 
-        Volume slab(Dim3{g.vol.x, g.vol.y, pl.slab.length()});
-        backproject_streaming(tex, mats, slab, StreamOffsets{pl.slab.lo, origin}, g.nu, g.nv);
-
         Volume ref(Dim3{g.vol.x, g.vol.y, pl.slab.length()});
         backproject_reference(p, mats, ref, pl.slab.lo, g.nu, g.nv);
         const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
-        for (index_t i = 0; i < slab.count(); ++i)
-            ASSERT_NEAR(slab.span()[static_cast<std::size_t>(i)],
-                        ref.span()[static_cast<std::size_t>(i)], tol)
-                << "slab at " << pl.slab.lo;
+        for (const simd::Backend b : simd::kBackends) {
+            if (!simd::runnable(b)) continue;
+            Volume slab(Dim3{g.vol.x, g.vol.y, pl.slab.length()});
+            streaming_on(b, tex, mats, slab, StreamOffsets{pl.slab.lo, origin}, g.nu, g.nv);
+            for (index_t i = 0; i < slab.count(); ++i)
+                ASSERT_NEAR(slab.span()[static_cast<std::size_t>(i)],
+                            ref.span()[static_cast<std::size_t>(i)], tol)
+                    << simd::name(b) << " slab at " << pl.slab.lo;
+        }
     }
 }
 
@@ -360,24 +379,29 @@ TEST(Streaming, ViewBatchesAccumulate)
     backproject_reference(p, mats, g, ref);
 
     sim::Device dev(128u << 20);
-    Volume acc(g.vol);
-    for (index_t part = 0; part < 2; ++part) {
-        const Range views = split_even(g.num_proj, 2, part);
-        ProjectionStack sub(views.length(), g.nv, g.nu);
-        for (index_t s = views.lo; s < views.hi; ++s) {
-            const auto src = p.view(s);
-            const auto dst = sub.view(s - views.lo);
-            std::copy(src.begin(), src.end(), dst.begin());
-        }
-        const sim::Texture3 tex = make_texture(dev, sub, Range{0, g.nv});
-        backproject_streaming(
-            tex, std::span<const Mat34>(mats.data() + views.lo, static_cast<std::size_t>(views.length())),
-            acc, StreamOffsets{0, 0}, g.nu, g.nv);
-    }
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
-    for (index_t i = 0; i < acc.count(); ++i)
-        ASSERT_NEAR(acc.span()[static_cast<std::size_t>(i)],
-                    ref.span()[static_cast<std::size_t>(i)], tol);
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        Volume acc(g.vol);
+        for (index_t part = 0; part < 2; ++part) {
+            const Range views = split_even(g.num_proj, 2, part);
+            ProjectionStack sub(views.length(), g.nv, g.nu);
+            for (index_t s = views.lo; s < views.hi; ++s) {
+                const auto src = p.view(s);
+                const auto dst = sub.view(s - views.lo);
+                std::copy(src.begin(), src.end(), dst.begin());
+            }
+            const sim::Texture3 tex = make_texture(dev, sub, Range{0, g.nv});
+            streaming_on(b, tex,
+                         std::span<const Mat34>(mats.data() + views.lo,
+                                                static_cast<std::size_t>(views.length())),
+                         acc, StreamOffsets{0, 0}, g.nu, g.nv);
+        }
+        for (index_t i = 0; i < acc.count(); ++i)
+            ASSERT_NEAR(acc.span()[static_cast<std::size_t>(i)],
+                        ref.span()[static_cast<std::size_t>(i)], tol)
+                << simd::name(b);
+    }
 }
 
 TEST(Streaming, RejectsMismatchedMatrixCount)

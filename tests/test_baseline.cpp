@@ -54,8 +54,9 @@ TEST(IfdkStyle, MatchesReference)
     Volume ref(g.vol);
     backproj::backproject_reference(p, mats, g, ref);
 
-    // The drivers run the production (possibly SIMD) streaming kernel, so
-    // the bound is the documented SIMD-vs-scalar envelope, not exactness.
+    // The drivers run the dispatched streaming kernel (AVX2 on a CPU with
+    // it), so the bound is the documented SIMD-vs-scalar envelope, not
+    // exactness.  test_backproj bounds every backend the host runs.
     const float tol = backproj::kSimdVsScalarRelBound * max_abs(ref.span());
     for (index_t nr : {1, 2, 4}) {
         Volume out(g.vol);

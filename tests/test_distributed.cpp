@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <string>
 
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
@@ -134,6 +136,52 @@ TEST(Distributed, StoresSlabsToPfs)
     EXPECT_EQ(slices_seen, g.vol.z);
     std::filesystem::remove_all(dir);
     (void)r;
+}
+
+// Sanitizer runtimes replace malloc (ASan quarantines freed blocks) and
+// map shadow memory, so there the resident set does not follow frees.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define XCT_SANITIZER_RUNTIME 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define XCT_SANITIZER_RUNTIME 1
+#endif
+#endif
+
+/// This process's resident set [bytes], from /proc/self/status.
+std::size_t vm_rss_bytes()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
+    return 0;
+}
+
+TEST(Distributed, BackToBackRunsDoNotGrowTheResidentSet)
+{
+    // A process that reconstructs again and again (a benchmark loop, a
+    // serve worker) must give each run's volumes, textures and staging
+    // buffers back to the OS, or every run peaks higher than the last.
+#if defined(XCT_SANITIZER_RUNTIME)
+    GTEST_SKIP() << "the resident set does not follow frees under a sanitizer runtime";
+#endif
+    const CbctGeometry g = geo(128, 36);
+    const auto ph = make_phantom(g);
+    DistributedConfig cfg;
+    cfg.geometry = g;
+    cfg.layout = GroupLayout{2, 2};
+    cfg.batches = 2;  // 2 MiB slabs, well above the allocator noise between runs
+    const std::size_t slab_bytes = static_cast<std::size_t>(
+        g.vol.x * g.vol.y * (g.vol.z / (cfg.layout.num_groups * cfg.batches))) * sizeof(float);
+    std::size_t first = 0;
+    for (int run = 1; run <= 4; ++run) {
+        reconstruct_distributed(cfg, phantom_factory(ph, g));
+        const std::size_t rss = vm_rss_bytes();
+        ASSERT_GT(rss, 0u);
+        if (run == 1) first = rss;
+        EXPECT_LE(rss, first + slab_bytes) << "run " << run << ": " << rss << " vs " << first;
+    }
 }
 
 TEST(Distributed, PerRankStatsReported)

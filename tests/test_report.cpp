@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "core/simd.hpp"
 #include "telemetry/report.hpp"
 
 namespace xct::telemetry::report {
@@ -159,6 +160,8 @@ TEST(Report, WriteJsonEmitsTypedSchema)
     EXPECT_NE(j.find("\"fleet\""), std::string::npos);
     EXPECT_NE(j.find("straggler:"), std::string::npos);
     EXPECT_NE(j.find("\"ranks_per_group\": 3"), std::string::npos);
+    EXPECT_NE(j.find("\"simd_backend\": \"" + std::string(simd::backend_name()) + "\""),
+              std::string::npos);
 }
 
 }  // namespace

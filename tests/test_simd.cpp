@@ -1,5 +1,6 @@
-// Performance-layer tests (DESIGN.md §3e): the simd.hpp lane wrapper, the
-// vectorised back-projection kernel vs the retained scalar Listing-1 loop,
+// Performance-layer tests (DESIGN.md §3e): the simd.hpp lane wrapper and
+// the vectorised back-projection kernel vs the retained scalar Listing-1
+// loop, each on every lane backend the host runs, the backend dispatch,
 // the fp32 filtering paths vs their double-precision references, the FFT
 // plan cache, and the zero-allocation guarantee of the scratch pools on
 // warm hot paths.
@@ -10,6 +11,7 @@
 // margin over the empirically observed error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <complex>
@@ -36,115 +38,78 @@ float max_abs(std::span<const float> v)
 
 // ---- lane wrapper ---------------------------------------------------------
 
+// The wrapper checks, compiled once per backend from one body.
+namespace scalar_checks {
+namespace simd = xct::simd::scalar;
+#include "simd_wrapper_checks.inc"
+}  // namespace scalar_checks
+
+#if defined(XCT_SIMD_HAVE_AVX2)
+XCT_SIMD_AVX2_BEGIN
+namespace avx2_checks {
+namespace simd = xct::simd::avx2;
+#include "simd_wrapper_checks.inc"
+}  // namespace avx2_checks
+XCT_SIMD_AVX2_END
+#define XCT_AVX2_CHECK(fn) &avx2_checks::fn
+#else
+#define XCT_AVX2_CHECK(fn) nullptr
+#endif
+
+#if defined(XCT_SIMD_HAVE_NEON)
+namespace neon_checks {
+namespace simd = xct::simd::neon;
+#include "simd_wrapper_checks.inc"
+}  // namespace neon_checks
+#define XCT_NEON_CHECK(fn) &neon_checks::fn
+#else
+#define XCT_NEON_CHECK(fn) nullptr
+#endif
+
+/// Runs one check on every backend the host runs; `per_backend` is
+/// indexed by simd::Backend.
+void on_every_backend(const std::array<void (*)(), 3>& per_backend)
+{
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        SCOPED_TRACE(simd::name(b));
+        per_backend[static_cast<std::size_t>(b)]();
+    }
+}
+#define ON_EVERY_BACKEND(fn) \
+    on_every_backend({&scalar_checks::fn, XCT_AVX2_CHECK(fn), XCT_NEON_CHECK(fn)})
+
 TEST(SimdWrapper, BackendIsReported)
 {
-    EXPECT_GT(simd::kLanes, 0);
+    EXPECT_GT(simd::lanes(simd::dispatched()), 0);
+    EXPECT_TRUE(simd::runnable(simd::dispatched()));
     const std::string name = simd::backend_name();
     EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
 }
 
-TEST(SimdWrapper, LoadStoreRoundTrip)
+TEST(SimdWrapper, LoadStoreRoundTrip) { ON_EVERY_BACKEND(load_store_round_trip); }
+TEST(SimdWrapper, IotaSplatArithmetic) { ON_EVERY_BACKEND(iota_splat_arithmetic); }
+TEST(SimdWrapper, FmaddFloorMinMaxClamp) { ON_EVERY_BACKEND(fmadd_floor_min_max_clamp); }
+TEST(SimdWrapper, CompareBlendNone) { ON_EVERY_BACKEND(compare_blend_none); }
+TEST(SimdWrapper, ToIntTruncatesTowardZero) { ON_EVERY_BACKEND(to_int_truncates_toward_zero); }
+TEST(SimdWrapper, GatherMatchesScalarIndexing) { ON_EVERY_BACKEND(gather_matches_scalar_indexing); }
+TEST(SimdWrapper, IntSubAndUnsignedMin) { ON_EVERY_BACKEND(int_sub_and_unsigned_min); }
+
+TEST(SimdDispatch, PicksAvx2WhenCpuHasAvx2AndFma)
 {
-    std::array<float, simd::kLanes> in{}, out{};
-    for (int i = 0; i < simd::kLanes; ++i) in[static_cast<std::size_t>(i)] = 0.5f * i - 1.0f;
-    simd::store(out.data(), simd::load(in.data()));
-    EXPECT_EQ(in, out);
-}
-
-TEST(SimdWrapper, IotaSplatArithmetic)
-{
-    std::array<float, simd::kLanes> out{};
-    // (iota * 2 + 3) - 1  ->  2i + 2
-    const simd::VecF v = simd::iota() * simd::splat(2.0f) + simd::splat(3.0f) - simd::splat(1.0f);
-    simd::store(out.data(), v);
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)], 2.0f * i + 2.0f) << i;
-}
-
-TEST(SimdWrapper, FmaddFloorMinMaxClamp)
-{
-    std::array<float, simd::kLanes> a{}, out{};
-    for (int i = 0; i < simd::kLanes; ++i) a[static_cast<std::size_t>(i)] = 0.75f * i - 2.3f;
-    const simd::VecF va = simd::load(a.data());
-
-    simd::store(out.data(), simd::fmadd(va, simd::splat(2.0f), simd::splat(1.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_NEAR(out[static_cast<std::size_t>(i)], a[static_cast<std::size_t>(i)] * 2.0f + 1.0f,
-                    1e-6f);
-
-    simd::store(out.data(), simd::floor_(va));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)],
-                        std::floor(a[static_cast<std::size_t>(i)]));
-
-    simd::store(out.data(), simd::clamp(va, simd::splat(-1.0f), simd::splat(1.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)],
-                        std::clamp(a[static_cast<std::size_t>(i)], -1.0f, 1.0f));
-
-    simd::store(out.data(), simd::min_(va, simd::splat(0.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)],
-                        std::min(a[static_cast<std::size_t>(i)], 0.0f));
-
-    simd::store(out.data(), simd::max_(va, simd::splat(0.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)],
-                        std::max(a[static_cast<std::size_t>(i)], 0.0f));
-}
-
-TEST(SimdWrapper, CompareBlendNone)
-{
-    std::array<float, simd::kLanes> out{};
-    const simd::VecF v = simd::iota();  // 0..W-1
-    const simd::Mask m = simd::cmp_ge(v, simd::splat(2.0f));
-    simd::store(out.data(), simd::blend(m, simd::splat(1.0f), simd::splat(-1.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)], i >= 2 ? 1.0f : -1.0f) << i;
-
-    EXPECT_FALSE(simd::none(m));
-    EXPECT_TRUE(simd::none(simd::cmp_gt(v, simd::splat(1e9f))));
-    // Mask conjunction.
-    const simd::Mask both = simd::cmp_ge(v, simd::splat(1.0f)) & simd::cmp_le(v, simd::splat(1.0f));
-    simd::store(out.data(), simd::blend(both, simd::splat(1.0f), simd::splat(0.0f)));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i)], i == 1 ? 1.0f : 0.0f) << i;
-}
-
-TEST(SimdWrapper, ToIntTruncatesTowardZero)
-{
-    std::array<float, simd::kLanes> in{};
-    std::array<std::int32_t, simd::kLanes> out{};
-    for (int i = 0; i < simd::kLanes; ++i) in[static_cast<std::size_t>(i)] = 1.75f * i - 3.4f;
-    simd::store_i(out.data(), simd::to_int(simd::load(in.data())));
-    for (int i = 0; i < simd::kLanes; ++i)
-        EXPECT_EQ(out[static_cast<std::size_t>(i)],
-                  static_cast<std::int32_t>(in[static_cast<std::size_t>(i)]))
-            << i;
-}
-
-TEST(SimdWrapper, GatherMatchesScalarIndexing)
-{
-    std::vector<float> table(64);
-    std::vector<std::int32_t> itable(64);
-    for (int i = 0; i < 64; ++i) {
-        table[static_cast<std::size_t>(i)] = 3.0f * i + 0.25f;
-        itable[static_cast<std::size_t>(i)] = 7 * i - 5;
-    }
-    std::array<std::int32_t, simd::kLanes> idx{};
-    for (int i = 0; i < simd::kLanes; ++i) idx[static_cast<std::size_t>(i)] = (i * 13 + 7) % 64;
-    const simd::VecI vidx = simd::load_i(idx.data());
-
-    std::array<float, simd::kLanes> got{};
-    simd::store(got.data(), simd::gather(table.data(), vidx));
-    std::array<std::int32_t, simd::kLanes> goti{};
-    simd::store_i(goti.data(), simd::gather_i(itable.data(), vidx));
-    for (int i = 0; i < simd::kLanes; ++i) {
-        EXPECT_FLOAT_EQ(got[static_cast<std::size_t>(i)],
-                        table[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])]);
-        EXPECT_EQ(goti[static_cast<std::size_t>(i)],
-                  itable[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])]);
-    }
+#if !defined(XCT_SIMD_ENABLED)
+    // XCT_SIMD=OFF compiles the scalar backend only.
+    EXPECT_STREQ(simd::backend_name(), "scalar");
+    for (const simd::Backend b : simd::kBackends)
+        EXPECT_EQ(simd::runnable(b), b == simd::Backend::scalar) << simd::name(b);
+#elif defined(__x86_64__)
+    __builtin_cpu_init();
+    const bool cpu = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    EXPECT_EQ(simd::runnable(simd::Backend::avx2), cpu);
+    EXPECT_STREQ(simd::backend_name(), cpu ? "avx2" : "scalar");
+#else
+    GTEST_SKIP() << "no AVX2 backend on this architecture";
+#endif
 }
 
 // ---- SIMD vs scalar back-projection (randomized property test) ------------
@@ -205,18 +170,29 @@ TEST(SimdBackproj, MatchesScalarAcrossRandomGeometries)
 
         sim::Device dev(256u << 20);
         const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
-        Volume scalar(g.vol), vec(g.vol);
+        Volume scalar(g.vol);
         backproj::backproject_streaming_scalar(tex, pack, scalar, backproj::StreamOffsets{0, 0},
                                                g.nu, g.nv);
-        backproj::backproject_streaming(tex, pack, vec, backproj::StreamOffsets{0, 0}, g.nu,
-                                        g.nv);
-
         const float tol = backproj::kSimdVsScalarRelBound * max_abs(scalar.span());
         ASSERT_GT(tol, 0.0f) << "degenerate trial " << trial;
-        for (index_t i = 0; i < vec.count(); ++i)
-            ASSERT_NEAR(vec.span()[static_cast<std::size_t>(i)],
-                        scalar.span()[static_cast<std::size_t>(i)], tol)
-                << "trial " << trial << " voxel " << i;
+        for (const simd::Backend b : simd::kBackends) {
+            if (!simd::runnable(b)) continue;
+            Volume vec(g.vol);
+            backproj::detail::backproject_streaming_on(b, tex, pack, vec,
+                                                       backproj::StreamOffsets{0, 0}, g.nu, g.nv);
+            for (index_t i = 0; i < vec.count(); ++i)
+                ASSERT_NEAR(vec.span()[static_cast<std::size_t>(i)],
+                            scalar.span()[static_cast<std::size_t>(i)], tol)
+                    << simd::name(b) << " trial " << trial << " voxel " << i;
+            if (b != simd::dispatched()) continue;
+            // The public entry point runs exactly the dispatched backend.
+            Volume dispatched(g.vol);
+            backproj::backproject_streaming(tex, pack, dispatched, backproj::StreamOffsets{0, 0},
+                                            g.nu, g.nv);
+            ASSERT_TRUE(std::equal(vec.span().begin(), vec.span().end(),
+                                   dispatched.span().begin()))
+                << "trial " << trial;
+        }
     }
 }
 
@@ -234,16 +210,19 @@ TEST(SimdBackproj, MatchesScalarOnBandRestrictedSlabs)
         sim::Device dev(256u << 20);
         const sim::Texture3 tex = make_texture(dev, p, band);
         const Dim3 sdim{g.vol.x, g.vol.y, slab.length()};
-        Volume scalar(sdim), vec(sdim);
+        Volume scalar(sdim);
         const backproj::StreamOffsets off{slab.lo, band.lo};
         backproj::backproject_streaming_scalar(tex, pack, scalar, off, g.nu, g.nv);
-        backproj::backproject_streaming(tex, pack, vec, off, g.nu, g.nv);
-
         const float tol = backproj::kSimdVsScalarRelBound * max_abs(scalar.span());
-        for (index_t i = 0; i < vec.count(); ++i)
-            ASSERT_NEAR(vec.span()[static_cast<std::size_t>(i)],
-                        scalar.span()[static_cast<std::size_t>(i)], tol)
-                << "trial " << trial << " voxel " << i;
+        for (const simd::Backend b : simd::kBackends) {
+            if (!simd::runnable(b)) continue;
+            Volume vec(sdim);
+            backproj::detail::backproject_streaming_on(b, tex, pack, vec, off, g.nu, g.nv);
+            for (index_t i = 0; i < vec.count(); ++i)
+                ASSERT_NEAR(vec.span()[static_cast<std::size_t>(i)],
+                            scalar.span()[static_cast<std::size_t>(i)], tol)
+                    << simd::name(b) << " trial " << trial << " voxel " << i;
+        }
     }
 }
 
