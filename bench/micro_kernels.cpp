@@ -28,6 +28,7 @@
 #include "integrity/hash.hpp"
 #include "integrity/integrity.hpp"
 #include "io/band_codec.hpp"
+#include "io/datasets.hpp"
 #include "filter/ramp.hpp"
 #include "minimpi/comm.hpp"
 #include "perfmodel/model.hpp"
@@ -256,6 +257,36 @@ double seconds_best_of(int reps, F&& fn)
     return best;
 }
 
+/// The dispatched kernel's voxel-update rate at one recon-256-2x2 rank's
+/// share: tomo_00030 at 1/4 resolution (a 167x111 detector, 180 views),
+/// a 16-slice slab from the middle of the 256^3 volume, and the first 90
+/// views (a 2-rank group splits the views).  Best of 3.
+double backproj_slab_updates_per_s()
+{
+    const CbctGeometry g =
+        io::dataset_by_name("tomo_00030").scaled(4.0).with_volume(256).geometry;
+    const index_t views = g.num_proj / 2;
+    const auto all = projection_matrices(g);
+    const backproj::MatrixPack pack{
+        std::span<const Mat34>(all.data(), static_cast<std::size_t>(views))};
+    sim::Device dev(1u << 30);
+    sim::Texture3 tex(dev, g.nu, views, g.nv);
+    std::vector<float> plane(static_cast<std::size_t>(g.nu * views));
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<float> u(0.0f, 1.0f);
+    for (index_t v = 0; v < g.nv; ++v) {
+        for (float& x : plane) x = u(rng);
+        tex.copy_planes(plane, v, 1);
+    }
+    const index_t depth = 16;
+    Volume slab(Dim3{g.vol.x, g.vol.y, depth});
+    const backproj::StreamOffsets off{(g.vol.z - depth) / 2, 0};
+    backproj::backproject_streaming(tex, pack, slab, off, g.nu, g.nv);
+    const double t = seconds_best_of(
+        3, [&] { backproj::backproject_streaming(tex, pack, slab, off, g.nu, g.nv); });
+    return static_cast<double>(slab.count()) * static_cast<double>(views) / t;
+}
+
 void emit_bench_json(const std::string& path)
 {
     // Back-projection: retained Listing-1 scalar loop vs the vectorised
@@ -291,6 +322,7 @@ void emit_bench_json(const std::string& path)
             backproj::backproject_streaming(tex, pack, vol, off, g.nu, g.nv);
         });
         const std::uint64_t heap_delta = scratch::heap_events() - heap0;
+        const double slab_updates_per_s = backproj_slab_updates_per_s();
 
         core::json::merge_section(
             path, "backproj",
@@ -298,6 +330,7 @@ void emit_bench_json(const std::string& path)
              {"simd_lanes", simd::lanes(simd::dispatched())},
              {"updates_per_s_scalar", updates / t_scalar},
              {"updates_per_s_simd", updates / t_simd},
+             {"updates_per_s_slab", slab_updates_per_s},
              {"views_per_s_simd", static_cast<double>(g.num_proj) / t_simd},
              {"speedup", t_scalar / t_simd},
              {"warm_heap_events", heap_delta}},

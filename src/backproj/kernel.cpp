@@ -1,5 +1,6 @@
 #include "backproj/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -88,34 +89,50 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
     }
 }
 
-/// What every voxel row of the incremental walk reads, resolved once per
-/// kernel call by bp_vectorised.
+/// Voxel rows of the column walk's scratch are padded to a multiple of
+/// every backend's lane count, so the walk has no scalar tail: lanes past
+/// nx are masked off and their sums land in the padding.
+inline constexpr index_t kPadLanes = 8;
+
+/// What every column block of the walk reads, resolved once per kernel
+/// call by bp_vectorised.
 struct Walk {
-    const sim::Texture3& tex;
     const MatrixPack& pack;
     const float* texel;        ///< flat texture, [depth][height][width]
     const std::int32_t* zrow;  ///< circular-row offset table, nv entries
     index_t nx;                ///< voxels per row
+    index_t nxp;               ///< nx padded to whole kPadLanes vectors
+    index_t width;             ///< texels per texture row (Nu)
     float x_hi, y_hi;          ///< last detector column / row
-    float proj_y;              ///< global detector row at texture depth 0
     std::int32_t plane;        ///< texels per texture plane (height * width)
     std::int32_t texels;       ///< texels in the texture (depth * plane)
 };
 
-/// Adds every view's contribution to voxel row (j, k) into acc[0, nx).
-using RowWalk = void (*)(const Walk& w, double jj, double kk, float* acc);
+/// Pass-1 results of one view for a row of voxel columns, nxp entries
+/// each (per-thread scratch).
+struct Columns {
+    float* zs;          ///< depth z where the column's u is on the detector, -1 elsewhere
+    float* du;          ///< fraction of u past iu0
+    float* wgt;         ///< FDK depth weight 1/z^2
+    std::int32_t* iu0;  ///< left texel of the u pair, at most Nu - 2
+};
 
-// The row walk, compiled once per lane backend from one body.
+/// Adds every view's contribution to the voxel columns (i, j) of slices
+/// kk0 .. kk0 + nk - 1 into acc, nk rows of nxp.
+using ColumnWalk = void (*)(const Walk& w, const Columns& c, double jj, double kk0, index_t nk,
+                            float* acc);
+
+// The column walk, compiled once per lane backend from one body.
 namespace scalar {
 namespace simd = xct::simd::scalar;
-#include "backproj/walk_row.inc"
+#include "backproj/walk_columns.inc"
 }  // namespace scalar
 
 #if defined(XCT_SIMD_HAVE_AVX2)
 XCT_SIMD_AVX2_BEGIN
 namespace avx2 {
 namespace simd = xct::simd::avx2;
-#include "backproj/walk_row.inc"
+#include "backproj/walk_columns.inc"
 }  // namespace avx2
 XCT_SIMD_AVX2_END
 #endif
@@ -123,54 +140,65 @@ XCT_SIMD_AVX2_END
 #if defined(XCT_SIMD_HAVE_NEON)
 namespace neon {
 namespace simd = xct::simd::neon;
-#include "backproj/walk_row.inc"
+#include "backproj/walk_columns.inc"
 }  // namespace neon
 #endif
 
-RowWalk row_walk(simd::Backend backend)
+ColumnWalk column_walk(simd::Backend backend)
 {
     require(simd::runnable(backend),
             "backproject_streaming: lane backend not runnable on this host");
 #if defined(XCT_SIMD_HAVE_AVX2)
-    if (backend == simd::Backend::avx2) return &avx2::walk_row;
+    if (backend == simd::Backend::avx2) return &avx2::walk_columns;
 #endif
 #if defined(XCT_SIMD_HAVE_NEON)
-    if (backend == simd::Backend::neon) return &neon::walk_row;
+    if (backend == simd::Backend::neon) return &neon::walk_columns;
 #endif
-    return &scalar::walk_row;
+    return &scalar::walk_columns;
 }
 
-/// The vectorised incremental-walk kernel (the production path).
+/// The vectorised column-blocked kernel (the production path).
 ///
-/// Loop structure: view-major over each voxel row; x/y/z are affine in i,
-/// so each lane evaluates fma(i, step, row_constant) — the row constants
-/// are hoisted per (view, row) and computed in double so the walk starts
-/// exact (matching the seed incremental variant).  The row walk
-/// (walk_row.inc) runs simd::kLanes voxels at a time:
+/// Loop structure: the OpenMP loop runs over (slice block, voxel row j);
+/// each iteration walks the views in order over the row's voxel columns
+/// in a block of at most kSliceBlock slices.  x/y/z are affine in i, so each lane evaluates
+/// fma(i, step, row_constant) from row constants hoisted per (view, row)
+/// in double.  Every projection matrix the geometry builds has a zero k
+/// coefficient in its u and depth rows (rotation axis along z), so the
+/// walk (walk_columns.inc) splits in two passes per view:
 ///
-///   * lane masks: zn > 0 and the detector bounds test combine into one
-///     blend mask; zn is sanitised to 1 on masked lanes so the divisions
-///     never produce inf/NaN that could leak through the blend;
-///   * fused bilinear gather: coordinates are clamped (CUDA "clamp"
-///     address mode on u), floor/fraction split, and the four texel reads
-///     become gathers off a flat base = zrow[t] + s*width + iu, where
-///     zrow[] pre-resolves the circular depth wrap for every global
-///     detector row t = floor(y) — replacing two mod operations per
-///     sample with one int gather and a wrapping add for row t+1;
-///   * the row accumulator comes from the per-thread scratch pool and is
-///     flushed to the volume once per row (checked writes).
+///   * pass 1, once per (j, view): depth z, the z > 0 and u-bounds mask,
+///     the u pair start iu0 with its fraction du, and the 1/z^2 weight,
+///     stored in per-thread scratch.  z is sanitised to 1 on masked lanes
+///     so the divisions never produce inf/NaN that could leak through a
+///     blend;
+///   * pass 2, per slice k of the block: only v, y = fma(i, dy, y0(k)) / z
+///     with the same divide as pass 1's u, its bounds mask, and the
+///     bilinear taps.  A texture plane offset table zrow[] pre-resolves
+///     the circular depth wrap for every global detector row t = floor(y);
+///     the partner row t+1 is a wrapping add, and the two u-neighbours of
+///     each row come as one 64-bit pair gather (simd::gather_pair).
 ///
-/// The OpenMP loop and every header-inline call stay here, outside the
-/// per-ISA code; `row` is the walk of the chosen backend.  Indices fit
-/// int32 by the texture-size require below; gathers are always in-range
-/// because the clamps run before index arithmetic, independent of the
-/// validity mask.
-void bp_vectorised(RowWalk row, const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
-                   const StreamOffsets& off, index_t nu, index_t nv)
+/// Each (voxel, view) sees the same operations in the same order as a
+/// one-pass walk, so the block depth does not change a single bit.  The
+/// block accumulator comes from the per-thread scratch pool and is flushed
+/// to the volume once per block (checked writes).  The OpenMP loop and
+/// every header-inline call stay here, outside the per-ISA code; `walk`
+/// is the chosen backend's.  Indices fit int32 by the texture-size
+/// require below; gathers are always in range because the clamps run
+/// before index arithmetic, independent of the validity mask.
+void bp_vectorised(ColumnWalk walk, const sim::Texture3& tex, const MatrixPack& pack,
+                   Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
 {
     require(pack.views() == tex.height(),
             "backproject_streaming: texture height must equal the view count");
     require(tex.width() == nu, "backproject_streaming: texture width must equal Nu");
+    require(nu >= 2, "backproject_streaming: the detector needs at least two columns");
+    bool k_free = true;
+    for (index_t s = 0; s < pack.views(); ++s)
+        k_free = k_free && pack.dmat(s)[0].z == 0.0 && pack.dmat(s)[2].z == 0.0;
+    require(k_free, "backproject_streaming: a matrix's u or depth row depends on k "
+                    "(the rotation axis must be the volume's z axis)");
     const Dim3 d = vol.size();
     const index_t width = tex.width();
     const index_t height = tex.height();
@@ -190,25 +218,40 @@ void bp_vectorised(RowWalk row, const sim::Texture3& tex, const MatrixPack& pack
         if (zz < 0) zz += depth;
         zrow[t] = static_cast<std::int32_t>(zz * height * width);
     }
-    const Walk w{tex,
-                 pack,
+    const index_t nxp = (d.x + kPadLanes - 1) / kPadLanes * kPadLanes;
+    const Walk w{pack,
                  tex.device_span().data(),
                  zrow,
                  d.x,
+                 nxp,
+                 width,
                  static_cast<float>(nu - 1),
                  static_cast<float>(nv - 1),
-                 static_cast<float>(off.proj_y),
                  static_cast<std::int32_t>(height * width),
                  static_cast<std::int32_t>(depth * height * width)};
+    // Equal blocks of at most kSliceBlock slices: 17 slices walk as 9 + 8,
+    // not as 16 + 1 with a whole pass 1 spent on the single slice.
+    const index_t blocks = (d.z + kSliceBlock - 1) / kSliceBlock;
+    const index_t block = blocks > 0 ? (d.z + blocks - 1) / blocks : 0;
+    const auto row = static_cast<std::size_t>(nxp);
 
-#pragma omp parallel for collapse(2) schedule(static)
-    for (index_t k = 0; k < d.z; ++k) {
+    // Rows near the volume's edge have fewer voxels on the detector, so
+    // rows are dealt round-robin rather than in contiguous runs.
+#pragma omp parallel for collapse(2) schedule(static, 1)
+    for (index_t b = 0; b < blocks; ++b) {
         for (index_t j = 0; j < d.y; ++j) {
-            scratch::Buffer<float> acc_lease(static_cast<std::size_t>(d.x));
-            float* acc = acc_lease.data();
-            for (index_t i = 0; i < d.x; ++i) acc[i] = 0.0f;
-            row(w, static_cast<double>(j), static_cast<double>(k + off.volume_z), acc);
-            for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[i];
+            const index_t k0 = b * block;
+            const index_t nk = std::min(block, d.z - k0);
+            // The block accumulator, then pass 1's zs, du and wgt rows.
+            scratch::Buffer<float> f_lease((kSliceBlock + 3) * row);
+            scratch::Buffer<std::int32_t> i_lease(row);
+            float* acc = f_lease.data();
+            const Columns c{acc + kSliceBlock * row, acc + (kSliceBlock + 1) * row,
+                            acc + (kSliceBlock + 2) * row, i_lease.data()};
+            std::fill(acc, acc + static_cast<std::size_t>(nk) * row, 0.0f);
+            walk(w, c, static_cast<double>(j), static_cast<double>(k0 + off.volume_z), nk, acc);
+            for (index_t kb = 0; kb < nk; ++kb)
+                for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k0 + kb) += acc[kb * nxp + i];
         }
     }
 }
@@ -218,8 +261,8 @@ void bp_vectorised(RowWalk row, const sim::Texture3& tex, const MatrixPack& pack
 void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                            const StreamOffsets& off, index_t nu, index_t nv)
 {
-    static const RowWalk row = row_walk(simd::dispatched());
-    bp_vectorised(row, tex, pack, vol, off, nu, nv);
+    static const ColumnWalk walk = column_walk(simd::dispatched());
+    bp_vectorised(walk, tex, pack, vol, off, nu, nv);
 }
 
 void backproject_streaming(const sim::Texture3& tex, std::span<const Mat34> mats, Volume& vol,
@@ -252,18 +295,11 @@ void backproject_streaming_q8(const sim::QuantizedTexture3& tex, std::span<const
     bp_scalar_impl(tex, MatrixPack(mats), vol, off, nu, nv);
 }
 
-void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                       Volume& vol, const StreamOffsets& off, index_t nu,
-                                       index_t nv)
-{
-    backproject_streaming(tex, mats, vol, off, nu, nv);
-}
-
 void detail::backproject_streaming_on(simd::Backend backend, const sim::Texture3& tex,
                                       const MatrixPack& pack, Volume& vol,
                                       const StreamOffsets& off, index_t nu, index_t nv)
 {
-    bp_vectorised(row_walk(backend), tex, pack, vol, off, nu, nv);
+    bp_vectorised(column_walk(backend), tex, pack, vol, off, nu, nv);
 }
 
 }  // namespace xct::backproj

@@ -18,15 +18,19 @@
 //   offset_proj_y.
 //
 // Performance layer (DESIGN.md §3e): the default backproject_streaming is
-// the incremental-walk variant with an explicit-SIMD inner loop over i:
-// lane-wise zn<=0 / detector-bounds masks, fused bilinear gathers off a
-// precomputed circular-row offset table, hoisted per-view row constants,
-// pooled row accumulators.  The walk is compiled once per lane backend of
-// core/simd.hpp, and the first call picks the one simd::dispatched()
-// names: AVX2 on an x86-64 CPU with AVX2 and FMA, NEON on aarch64, scalar
-// lanes otherwise or when XCT_SIMD is OFF.  The original Listing-1 loop is
-// retained as backproject_streaming_scalar and the agreement bound is
-// documented below (kSimdVsScalarRelBound, asserted in test_simd /
+// a column-blocked walk with an explicit-SIMD inner loop over i.  The u
+// and depth rows of every matrix the geometry builds have no k term, so
+// each voxel column's detector u, 1/z^2 weight and u mask are computed
+// once per view and reused for the kSliceBlock slices of a block; per
+// slice only v is walked.  Lane-wise masks, paired bilinear gathers off a
+// precomputed circular-row offset table, and pooled block accumulators
+// keep the rest of Listing 1's work per (voxel, view).  The walk is
+// compiled once per lane backend of core/simd.hpp, and the first call
+// picks the one simd::dispatched() names: AVX2 on an x86-64 CPU with AVX2
+// and FMA, NEON on aarch64, scalar lanes otherwise or when XCT_SIMD is
+// OFF.  The original Listing-1 loop is retained as
+// backproject_streaming_scalar (general matrices) and the agreement bound
+// is documented below (kSimdVsScalarRelBound, asserted in test_simd /
 // test_backproj for every backend the host runs).
 
 #include <array>
@@ -49,7 +53,7 @@ struct StreamOffsets {
 
 /// Per-view projection matrices pre-converted for the kernel: the float
 /// rows the CUDA kernel would read via __ldg, plus the original doubles
-/// from which the incremental walk derives exact row constants.  Build
+/// from which the column walk derives exact row constants.  Build
 /// once per view share / slab schedule (SlabBackprojector caches one) —
 /// previously every kernel call re-converted the full set.  Shared by the
 /// fp32 and q8 paths.
@@ -78,7 +82,9 @@ private:
 /// `tex` into the slab `vol`.  `nu`/`nv` are the full detector dimensions
 /// for the off-detector bounds test.  The slab must be zero-initialised
 /// (or hold a partial accumulation from a previous view batch).  This is
-/// the vectorised incremental-walk kernel (see file header).
+/// the vectorised column-blocked kernel (see file header): it throws
+/// std::invalid_argument when a matrix's u or depth row has a k term
+/// (m[0].z or m[2].z non-zero), which projection_matrices() never builds.
 void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                            const StreamOffsets& off, index_t nu, index_t nv);
 
@@ -88,8 +94,8 @@ void backproject_streaming(const sim::Texture3& tex, std::span<const Mat34> mats
                            const StreamOffsets& off, index_t nu, index_t nv);
 
 /// The original scalar Listing-1 loop (voxel-major, full dot products per
-/// view), retained as the in-build reference the vectorised kernel is
-/// bounded against.
+/// view, any matrix), retained as the in-build reference the vectorised
+/// kernel is bounded against.
 void backproject_streaming_scalar(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                                   const StreamOffsets& off, index_t nu, index_t nv);
 void backproject_streaming_scalar(const sim::Texture3& tex, std::span<const Mat34> mats,
@@ -105,13 +111,6 @@ void backproject_streaming_q8(const sim::QuantizedTexture3& tex, const MatrixPac
 void backproject_streaming_q8(const sim::QuantizedTexture3& tex, std::span<const Mat34> mats,
                               Volume& vol, const StreamOffsets& off, index_t nu, index_t nv);
 
-/// Back-compat name for the incremental-walk variant: since the
-/// vectorisation PR it IS the default kernel; this forwards to
-/// backproject_streaming.
-void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                       Volume& vol, const StreamOffsets& off, index_t nu,
-                                       index_t nv);
-
 namespace detail {
 /// backproject_streaming on the named lane backend instead of the
 /// dispatched one, so tests can run every backend the host supports.
@@ -126,17 +125,27 @@ void backproject_streaming_on(simd::Backend backend, const sim::Texture3& tex,
 ///
 ///   max_voxel |simd - scalar|  <=  kSimdVsScalarRelBound * max_voxel |scalar|
 ///
-/// Sources of divergence, all O(1 ulp) per sample: the incremental walk
+/// Sources of divergence, all O(1 ulp) per sample: the column walk
 /// evaluates x/y/z as fma(i, step, row_constant) instead of the full
 /// 4-term dot product (different association), divides once by a
 /// sanitised zn, and the bilinear weights come from clamped coordinates.
+/// The block depth changes nothing: each (voxel, view) runs the same
+/// operations in the same order whatever the slab's depth.
 /// Accumulated over views the error stays well under 1e-4 of the field
 /// maximum; the bound below carries ~10x margin (measured in test_simd
 /// across randomized geometries including Table-4 calibration offsets).
 inline constexpr float kSimdVsScalarRelBound = 2e-4f;
 
-/// Approximate floating-point operations per (voxel, view) update of the
-/// kernel inner loop — used by the roofline analysis (Fig. 12).
+/// Slices per column block of backproject_streaming (at most; a slab is
+/// split into equal blocks).  The block accumulator, kSliceBlock padded
+/// voxel rows, is 16 KiB at Nx = 256 and stays in L1 beside the pass-1
+/// arrays.  A constant of the kernel, not a setting.
+inline constexpr index_t kSliceBlock = 16;
+
+/// Approximate floating-point operations per (voxel, view) update of
+/// Listing 1's inner loop, the count Fig. 12's V100 roofline model uses.
+/// It is not the column walk's amortised count, which moves the u half of
+/// the work out of the per-slice loop.
 inline constexpr double kFlopsPerUpdate = 38.0;
 
 }  // namespace xct::backproj

@@ -4,10 +4,10 @@
 // Exposes a fixed-width lane abstraction (VecF / VecI / Mask) with exactly
 // the operations the streaming back-projection inner loop needs: splat,
 // affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
-// blend masks, int conversion and gathers from flat arrays.  Each backend
-// is a namespace holding the same names, so one kernel body compiles
-// against any of them (backproj/kernel.cpp includes its row walk once per
-// backend):
+// blend masks, int conversion and gathers from flat arrays (single lanes,
+// and adjacent float pairs).  Each backend is a namespace holding the same
+// names, so one kernel body compiles against any of them
+// (backproj/kernel.cpp includes its column walk once per backend):
 //
 //   * simd::scalar (8 lanes) — plain arrays of kLanes elements, always
 //     compiled, and the only backend when the XCT_SIMD CMake option is
@@ -37,8 +37,9 @@
 //     scalar kernel; see test_simd for the documented bounds);
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
 //   * min_u compares its int32 lanes as unsigned;
-//   * gathers read base[idx[lane]] for every lane — callers mask/clamp
-//     indices BEFORE gathering, out-of-range lanes are not tolerated.
+//   * gathers read base[idx[lane]] for every lane (gather_pair also
+//     base[idx[lane] + 1]) — callers mask/clamp indices BEFORE gathering,
+//     out-of-range lanes are not tolerated.
 
 #include <cstdint>
 #include <cstring>
@@ -275,6 +276,15 @@ inline VecI gather_i(const std::int32_t* base, VecI idx)
     for (int l = 0; l < kLanes; ++l) r.v[l] = base[idx.v[l]];
     return r;
 }
+/// lo = base[idx], hi = base[idx + 1]: the two u-neighbours of a bilinear
+/// tap, which sit next to each other in a texture row.
+inline void gather_pair(const float* base, VecI idx, VecF& lo, VecF& hi)
+{
+    for (int l = 0; l < kLanes; ++l) {
+        lo.v[l] = base[idx.v[l]];
+        hi.v[l] = base[idx.v[l] + 1];
+    }
+}
 
 /// Clamp every lane to [lo, hi].
 inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
@@ -330,17 +340,15 @@ inline VecI splat_i(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
 inline VecI operator+(VecI a, VecI b) { return {_mm256_add_epi32(a.v, b.v)}; }
 inline VecI operator-(VecI a, VecI b) { return {_mm256_sub_epi32(a.v, b.v)}; }
 inline VecI min_u(VecI a, VecI b) { return {_mm256_min_epu32(a.v, b.v)}; }
+// Unaligned moves through memcpy (no pointer punning); each compiles to
+// one vmovdqu.
 inline VecI load_i(const std::int32_t* p)
 {
-    return {_mm256_setr_epi32(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])};
+    VecI r;
+    std::memcpy(&r.v, p, sizeof(r.v));
+    return r;
 }
-inline void store_i(std::int32_t* p, VecI a)
-{
-    // Bit-preserving spill through the float view (no pointer punning).
-    float tmp[kLanes];
-    _mm256_storeu_ps(tmp, _mm256_castsi256_ps(a.v));
-    std::memcpy(p, tmp, sizeof(tmp));
-}
+inline void store_i(std::int32_t* p, VecI a) { std::memcpy(p, &a.v, sizeof(a.v)); }
 
 inline VecF gather(const float* base, VecI idx)
 {
@@ -349,6 +357,28 @@ inline VecF gather(const float* base, VecI idx)
 inline VecI gather_i(const std::int32_t* base, VecI idx)
 {
     return {_mm256_i32gather_epi32(base, idx.v, 4)};
+}
+/// Two 4-lane gathers of 64-bit (base[idx], base[idx + 1]) pairs, split
+/// into the lo and hi floats of each pair.
+inline void gather_pair(const float* base, VecI idx, VecF& lo, VecF& hi)
+{
+    const double* pairs = reinterpret_cast<const double*>(base);
+    // The masked form with every lane on: gcc 12's unmasked
+    // _mm256_i32gather_pd trips -Wmaybe-uninitialized in its own header.
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    // a = lo0 hi0 lo1 hi1 | lo2 hi2 lo3 hi3, b likewise for lanes 4..7.
+    const __m256 a = _mm256_castpd_ps(
+        _mm256_mask_i32gather_pd(zero, pairs, _mm256_castsi256_si128(idx.v), all, 4));
+    const __m256 b = _mm256_castpd_ps(
+        _mm256_mask_i32gather_pd(zero, pairs, _mm256_extracti128_si256(idx.v, 1), all, 4));
+    // Per 128-bit half: lo0 lo1 lo4 lo5 | lo2 lo3 lo6 lo7, then reorder
+    // the 64-bit quarters to lanes 0..7.
+    const __m256 l = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+    const __m256 h = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+    constexpr int kQuarters = _MM_SHUFFLE(3, 1, 2, 0);
+    lo.v = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(l), kQuarters));
+    hi.v = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(h), kQuarters));
 }
 
 /// Clamp every lane to [lo, hi].
@@ -425,6 +455,17 @@ inline VecI gather_i(const std::int32_t* base, VecI idx)
     vst1q_s32(ix, idx.v);
     const std::int32_t lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
     return {vld1q_s32(lanes)};
+}
+inline void gather_pair(const float* base, VecI idx, VecF& lo, VecF& hi)
+{
+    std::int32_t ix[4];
+    vst1q_s32(ix, idx.v);
+    // lo0 hi0 lo1 hi1 and lo2 hi2 lo3 hi3, de-interleaved.
+    const float32x4_t p01 = vcombine_f32(vld1_f32(base + ix[0]), vld1_f32(base + ix[1]));
+    const float32x4_t p23 = vcombine_f32(vld1_f32(base + ix[2]), vld1_f32(base + ix[3]));
+    const float32x4x2_t u = vuzpq_f32(p01, p23);
+    lo.v = u.val[0];
+    hi.v = u.val[1];
 }
 
 /// Clamp every lane to [lo, hi].

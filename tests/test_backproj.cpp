@@ -18,7 +18,7 @@
 namespace xct::backproj {
 namespace {
 
-CbctGeometry geo(index_t nz = 24)
+CbctGeometry geo(index_t nz = 24, index_t nxy = 24)
 {
     CbctGeometry g;
     g.dso = 100.0;
@@ -28,7 +28,7 @@ CbctGeometry geo(index_t nz = 24)
     g.nv = 40;
     g.du = 0.6;
     g.dv = 0.6;
-    g.vol = {24, 24, nz};
+    g.vol = {nxy, nxy, nz};
     g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, g.vol.x);
     return g;
 }
@@ -55,6 +55,27 @@ void streaming_on(simd::Backend b, const sim::Texture3& tex, std::span<const Mat
                   Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
 {
     detail::backproject_streaming_on(b, tex, MatrixPack(mats), vol, off, nu, nv);
+}
+
+/// Runs the streaming kernel on every backend the host runs into a fresh
+/// volume of `dim`, and checks each against the scalar Listing-1 loop
+/// within kSimdVsScalarRelBound of the field maximum.
+void expect_backends_match_scalar(const sim::Texture3& tex, std::span<const Mat34> mats, Dim3 dim,
+                                  const StreamOffsets& off, index_t nu, index_t nv)
+{
+    Volume scalar(dim);
+    backproject_streaming_scalar(tex, mats, scalar, off, nu, nv);
+    const float tol = kSimdVsScalarRelBound * max_abs(scalar.span());
+    ASSERT_GT(tol, 0.0f) << "degenerate case: nothing was back-projected";
+    for (const simd::Backend b : simd::kBackends) {
+        if (!simd::runnable(b)) continue;
+        Volume vec(dim);
+        streaming_on(b, tex, mats, vec, off, nu, nv);
+        for (index_t i = 0; i < vec.count(); ++i)
+            ASSERT_NEAR(vec.span()[static_cast<std::size_t>(i)],
+                        scalar.span()[static_cast<std::size_t>(i)], tol)
+                << simd::name(b) << " voxel " << i;
+    }
 }
 
 /// Upload full frames into a texture laid out as the streaming kernel
@@ -271,49 +292,98 @@ TEST(Streaming, CircularDepthReusePreservesResults)
                             ref.span()[static_cast<std::size_t>(i)], tol)
                     << simd::name(b) << " slab at " << pl.slab.lo;
         }
+        // Slabs past the first read rows that wrapped to the texture's
+        // start; the column walk must read them as the scalar loop does.
+        SCOPED_TRACE(pl.slab.lo);
+        expect_backends_match_scalar(tex, mats, Dim3{g.vol.x, g.vol.y, pl.slab.length()},
+                                     StreamOffsets{pl.slab.lo, origin}, g.nu, g.nv);
     }
 }
 
-TEST(StreamingIncremental, MatchesBaseKernelToRounding)
+TEST(Streaming, MatchesScalarOnOffsetSlabAndBand)
 {
-    const CbctGeometry g = geo();
-    const ProjectionStack p = random_stack(g, 21);
-    const auto mats = projection_matrices(g);
-
-    sim::Device dev(64u << 20);
-    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
-    Volume base(g.vol), fast(g.vol);
-    backproject_streaming(tex, mats, base, StreamOffsets{0, 0}, g.nu, g.nv);
-    backproject_streaming_incremental(tex, mats, fast, StreamOffsets{0, 0}, g.nu, g.nv);
-
-    float scale = 0.0f;
-    for (float v : base.span()) scale = std::max(scale, std::abs(v));
-    for (index_t i = 0; i < base.count(); ++i)
-        ASSERT_NEAR(fast.span()[static_cast<std::size_t>(i)],
-                    base.span()[static_cast<std::size_t>(i)], 2e-4f * scale);
-}
-
-TEST(StreamingIncremental, HandlesSlabOffsetsAndBands)
-{
+    // A slab at a global z offset, read from a texture that holds only
+    // the detector band the slab needs.
     const CbctGeometry g = geo();
     const ProjectionStack p = random_stack(g, 22);
-    const auto mats = projection_matrices(g);
     const Range slab{6, 14};
     const Range band = compute_ab(g, slab);
-
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, band);
-    Volume ref(Dim3{g.vol.x, g.vol.y, slab.length()});
-    backproject_reference(p, mats, ref, slab.lo, g.nu, g.nv);
-    Volume fast(Dim3{g.vol.x, g.vol.y, slab.length()});
-    backproject_streaming_incremental(tex, mats, fast, StreamOffsets{slab.lo, band.lo}, g.nu,
-                                      g.nv);
+    expect_backends_match_scalar(tex, projection_matrices(g), Dim3{g.vol.x, g.vol.y, slab.length()},
+                                 StreamOffsets{slab.lo, band.lo}, g.nu, g.nv);
+}
 
-    float scale = 0.0f;
-    for (float v : ref.span()) scale = std::max(scale, std::abs(v));
-    for (index_t i = 0; i < ref.count(); ++i)
-        ASSERT_NEAR(fast.span()[static_cast<std::size_t>(i)],
-                    ref.span()[static_cast<std::size_t>(i)], 2e-4f * scale);
+TEST(Streaming, MatchesScalarWhenNxIsNotALaneMultiple)
+{
+    // 29 voxels per row: the last lane vector of every row has lanes past
+    // nx, which the column walk masks off inside each block.
+    const CbctGeometry g = geo(20, 29);
+    const ProjectionStack p = random_stack(g, 23);
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    expect_backends_match_scalar(tex, projection_matrices(g), g.vol, StreamOffsets{0, 0}, g.nu,
+                                 g.nv);
+}
+
+TEST(Streaming, MatchesScalarAtSlabDepthsOneAndBlockPlusOne)
+{
+    // Depth 1 is a block with one slice to reuse pass 1 for; one slice
+    // more than a block splits the slab into two blocks.
+    const CbctGeometry g = geo(kSliceBlock + 8);
+    const ProjectionStack p = random_stack(g, 24);
+    const auto mats = projection_matrices(g);
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    for (const index_t depth : {index_t{1}, kSliceBlock + 1}) {
+        SCOPED_TRACE(depth);
+        expect_backends_match_scalar(tex, mats, Dim3{g.vol.x, g.vol.y, depth}, StreamOffsets{3, 0},
+                                     g.nu, g.nv);
+    }
+}
+
+TEST(Streaming, MatchesScalarAtTheRightDetectorEdge)
+{
+    // Hand-built matrices with no k term in u or depth: u = i + shift, so
+    // on the last view voxel i = nu - 1 lands exactly on the last detector
+    // column, where the u pair must start one texel left.  v reaches the
+    // last detector row, the texture's last plane, so a pair read past
+    // the row's end would leave the texture (ASan and bounds-check builds
+    // see it).
+    const index_t nu = 16, nv = 8;
+    const double shift[] = {-0.25, 0.5, 0.0};
+    std::vector<Mat34> mats(std::size(shift));
+    for (std::size_t s = 0; s < mats.size(); ++s) {
+        mats[s][0] = Vec4{1.0, 0.0, 0.0, shift[s]};
+        mats[s][1] = Vec4{0.0, 0.5, 0.25, 0.0};
+        mats[s][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    }
+    ProjectionStack p(static_cast<index_t>(mats.size()), nv, nu);
+    std::mt19937 rng(25);
+    std::uniform_real_distribution<float> u(0.5f, 1.0f);
+    for (float& v : p.span()) v = u(rng);
+    sim::Device dev(1u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, nv});
+    expect_backends_match_scalar(tex, mats, Dim3{nu, 16, 4}, StreamOffsets{0, 0}, nu, nv);
+}
+
+TEST(Streaming, RejectsMatricesWithAKTermInUOrDepth)
+{
+    // The column walk reuses u and 1/z^2 across slices, which needs the
+    // rotation axis along z.  The scalar Listing-1 loop stays general.
+    const CbctGeometry g = geo();
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, random_stack(g, 26), Range{0, g.nv});
+    for (const int row : {0, 2}) {
+        auto mats = projection_matrices(g);
+        mats[5][row].z = 1e-3;
+        Volume vol(g.vol);
+        EXPECT_THROW(backproject_streaming(tex, mats, vol, StreamOffsets{}, g.nu, g.nv),
+                     std::invalid_argument)
+            << "row " << row;
+        EXPECT_NO_THROW(backproject_streaming_scalar(tex, mats, vol, StreamOffsets{}, g.nu, g.nv))
+            << "row " << row;
+    }
 }
 
 TEST(RtkStyle, MatchesReference)

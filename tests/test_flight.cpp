@@ -20,9 +20,13 @@
 namespace xct::telemetry::flight {
 namespace {
 
-double span_begin()
+/// Record a 1 us span ending now.  The clock is read once: with begin and
+/// end as two reads in one argument list, the unspecified evaluation order
+/// could read end first and leave begin > end.
+void record_now(const char* name, index_t item = -1, std::uint64_t bytes = 0)
 {
-    return wall_now() - 1e-6;
+    const double end = wall_now();
+    record("test", name, end - 1e-6, end, item, bytes);
 }
 
 std::string slurp(const std::filesystem::path& p)
@@ -48,7 +52,7 @@ struct Disarmed {
 TEST(Flight, RecordedSpansAppearInSnapshot)
 {
     static const char* kName = "flight.test.appear";
-    record("test", kName, span_begin(), wall_now(), 7, 128);
+    record_now(kName, 7, 128);
     const auto events = snapshot();
     const auto it = std::find_if(events.begin(), events.end(),
                                  [](const FlightEvent& e) { return e.name == kName; });
@@ -63,7 +67,7 @@ TEST(Flight, RingWrapsKeepingTheMostRecentSpans)
     static const char* kName = "flight.test.wrap";
     const std::size_t total = kRingCapacity + 100;
     for (std::size_t i = 0; i < total; ++i)
-        record("test", kName, span_begin(), wall_now(), static_cast<index_t>(i));
+        record_now(kName, static_cast<index_t>(i));
     const auto events = snapshot();
     std::vector<index_t> items;
     for (const FlightEvent& e : events)
@@ -80,17 +84,17 @@ TEST(Flight, RingWrapsKeepingTheMostRecentSpans)
 TEST(Flight, WarmRecordingAllocatesNothing)
 {
     warm();  // ring exists from here on
-    record("test", "flight.test.warmup", span_begin(), wall_now());
+    record_now("flight.test.warmup");
     const std::uint64_t e0 = scratch::heap_events();
     for (int i = 0; i < 10000; ++i)
-        record("test", "flight.test.warm", span_begin(), wall_now(), i, 64);
+        record_now("flight.test.warm", i, 64);
     EXPECT_EQ(scratch::heap_events() - e0, 0u);
 }
 
 TEST(Flight, TotalRecordsIsMonotonic)
 {
     const std::uint64_t r0 = total_records();
-    for (int i = 0; i < 32; ++i) record("test", "flight.test.count", span_begin(), wall_now());
+    for (int i = 0; i < 32; ++i) record_now("flight.test.count");
     EXPECT_GE(total_records(), r0 + 32);
 }
 
@@ -111,8 +115,7 @@ TEST(Flight, InternReturnsStablePointers)
 TEST(Flight, ExitedThreadsRingIsReusedNotLeaked)
 {
     const auto run_thread = [] {
-        std::thread([] { record("test", "flight.test.thread", span_begin(), wall_now()); })
-            .join();
+        std::thread([] { record_now("flight.test.thread"); }).join();
     };
     run_thread();  // may create one new ring
     const std::size_t rings = ring_count();
@@ -150,7 +153,7 @@ TEST(Flight, SnapshotIsCleanUnderConcurrentWriters)
 TEST(Flight, DumpWritesChromeTraceRebasedToZero)
 {
     static const char* kName = "flight.test.dump-span";
-    record("test", kName, span_begin(), wall_now());
+    record_now(kName);
     const auto dir = fresh_dir("xct_flight_dump");
     const auto path = dir / "manual.json";
     dump(path);
@@ -172,7 +175,7 @@ TEST(Flight, DumpPostmortemRespectsArming)
     const auto dir = fresh_dir("xct_flight_armed");
     arm_postmortem(dir);
     EXPECT_TRUE(postmortem_armed());
-    record("test", "flight.test.armed", span_begin(), wall_now());
+    record_now("flight.test.armed");
     const auto path = dump_postmortem("test");
     ASSERT_FALSE(path.empty());
     EXPECT_TRUE(std::filesystem::exists(path));
@@ -188,7 +191,7 @@ TEST(Flight, InjectedRankStallTripsWatchdogIntoPostmortem)
     Disarmed guard;
     const auto dir = fresh_dir("xct_flight_stall");
     arm_postmortem(dir);
-    record("test", "flight.test.before-stall", span_begin(), wall_now(), 3);
+    record_now("flight.test.before-stall", 3);
 
     faults::ScopedPlan install(
         faults::FaultPlan::parse("source.load:kind=stall,delay=0.05,after=0,count=1"));

@@ -125,6 +125,18 @@ TEST(LintFixtures, BadRawmemMatchesAnnotations)
     expect_matches_annotations("bad_rawmem.cpp");
 }
 
+TEST(LintRawmem, OnlyTheLaneWrapperMayReinterpret)
+{
+    // src/core/simd.hpp may reinterpret (typed-pointer intrinsics), but
+    // may not allocate; every other file may do neither.
+    const std::string source = slurp(repo_root() + "/tests/lint_fixtures/bad_rawmem.cpp");
+    const auto in_simd = xct_lint::lint_files(repo_root(), {{"src/core/simd.hpp", source}});
+    ASSERT_EQ(in_simd.size(), 2u) << xct_lint::format(in_simd);
+    for (const auto& v : in_simd) EXPECT_EQ(v.message.find("reinterpret_cast"), std::string::npos);
+    const auto elsewhere = xct_lint::lint_files(repo_root(), {{"src/core/pages.cpp", source}});
+    EXPECT_EQ(elsewhere.size(), 3u) << xct_lint::format(elsewhere);
+}
+
 TEST(LintFixtures, BadIntloopMatchesAnnotations)
 {
     expect_matches_annotations("bad_intloop.cpp");

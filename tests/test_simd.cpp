@@ -94,6 +94,7 @@ TEST(SimdWrapper, CompareBlendNone) { ON_EVERY_BACKEND(compare_blend_none); }
 TEST(SimdWrapper, ToIntTruncatesTowardZero) { ON_EVERY_BACKEND(to_int_truncates_toward_zero); }
 TEST(SimdWrapper, GatherMatchesScalarIndexing) { ON_EVERY_BACKEND(gather_matches_scalar_indexing); }
 TEST(SimdWrapper, IntSubAndUnsignedMin) { ON_EVERY_BACKEND(int_sub_and_unsigned_min); }
+TEST(SimdWrapper, GatherPair) { ON_EVERY_BACKEND(gather_pair_reads_adjacent_floats); }
 
 TEST(SimdDispatch, PicksAvx2WhenCpuHasAvx2AndFma)
 {
@@ -157,6 +158,21 @@ sim::Texture3 make_texture(sim::Device& dev, const ProjectionStack& p, Range ban
         tex.copy_planes(plane, v - band.lo, 1);
     }
     return tex;
+}
+
+TEST(ColumnWalk, ProjectionMatricesHaveNoKTermInUOrDepth)
+{
+    // The column walk's premise (rotation axis along z, detector v along
+    // z): u and the depth of a voxel never depend on its slice k, for any
+    // geometry, calibration offsets included.
+    std::mt19937 rng(4242);
+    for (int trial = 0; trial < 50; ++trial) {
+        const CbctGeometry g = random_geometry(rng);
+        for (const Mat34& m : projection_matrices(g)) {
+            ASSERT_EQ(m[0].z, 0.0) << "trial " << trial;
+            ASSERT_EQ(m[2].z, 0.0) << "trial " << trial;
+        }
+    }
 }
 
 TEST(SimdBackproj, MatchesScalarAcrossRandomGeometries)
