@@ -1,12 +1,12 @@
 #include "pipeline/timeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <sstream>
 
 #include "core/names.hpp"
+#include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -14,8 +14,7 @@ namespace xct::pipeline {
 
 double now_seconds()
 {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
+    return telemetry::flight::wall_now();
 }
 
 Timeline::Timeline() : epoch_(now_seconds()) {}

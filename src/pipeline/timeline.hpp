@@ -11,7 +11,8 @@
 
 namespace xct::pipeline {
 
-/// Monotonic wall-clock seconds.
+/// Monotonic wall-clock seconds: telemetry::flight::wall_now(), the one
+/// span timebase shared by Timeline, Tracer and the flight rings.
 double now_seconds();
 
 /// One unit of recorded stage work.

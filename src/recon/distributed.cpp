@@ -173,7 +173,6 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
         rc.retry = cfg.retry;
         rc.watchdog_timeout_s = cfg.watchdog_timeout_s;
         rc.band_codec = cfg.band_codec;
-        rc.prefetch = cfg.prefetch;
         rc.queue_depth = cfg.queue_depth;
 
         // Checkpoint resume must re-enter the per-slab reduce at the same

@@ -67,8 +67,6 @@ struct DistributedConfig {
     /// degraded-mode takeover replay, which must reproduce the dead
     /// rank's arithmetic — including its quantisation — bitwise).
     io::BandCodec band_codec = io::BandCodec::Raw;
-    /// Double-buffered band prefetch on every rank (RankConfig::prefetch).
-    bool prefetch = false;
     /// Inter-stage FIFO depth on every rank (RankConfig::queue_depth).
     index_t queue_depth = 2;
 };

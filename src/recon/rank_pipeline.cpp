@@ -34,14 +34,6 @@ struct VolItem {
     Volume slab;
 };
 
-/// Hand-off from the prefetch stage to bp: the band already gathered
-/// (and, under q8, decoded) into upload order.
-struct BpItem {
-    index_t idx = 0;
-    SlabPlan plan;
-    std::optional<SlabBackprojector::StagedBand> staged;
-};
-
 void filter_item(const RankConfig& cfg, const filter::FilterEngine& engine,
                  const filter::ParkerWeights* parker, bool counts, LoadItem& item)
 {
@@ -237,21 +229,6 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         const std::size_t qd = static_cast<std::size_t>(cfg.queue_depth);
         pipeline::BoundedQueue<LoadItem> q0(qd), q1(qd);
         pipeline::BoundedQueue<VolItem> q2(qd), q3(qd);
-        // Prefetch double-buffer machinery (cfg.prefetch): qp hands staged
-        // bands to bp; qbuf is the recycle ring returning the staging
-        // buffers.  Seeding qd+1 buffers keeps both ends non-blocking
-        // against each other (bp can always return a buffer; prefetch
-        // only waits when qd+1 stagings are already outstanding), and
-        // recycling them makes the steady state allocation-free once
-        // every buffer has grown to the largest band.
-        std::optional<pipeline::BoundedQueue<BpItem>> qp;
-        std::optional<pipeline::BoundedQueue<core::PageVector<float>>> qbuf;
-        if (cfg.prefetch) {
-            qp.emplace(qd);
-            qbuf.emplace(qd + 1);
-            for (std::size_t i = 0; i < qd + 1; ++i) qbuf->push(core::PageVector<float>{});
-        }
-
         // Stage threads inherit the rank tag of the calling (minimpi rank)
         // thread so telemetry attributes their spans to the right rank.
         const RankId telemetry_rank = telemetry::current_rank();
@@ -266,8 +243,6 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
                 q1.close();
                 q2.close();
                 q3.close();
-                if (qp) qp->close();
-                if (qbuf) qbuf->close();
             }
         };
 
@@ -293,53 +268,11 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
                 q1.close();
             });
         });
-        // The prefetch stage overlaps band i+1's staging (row gather; q8
-        // decode + digest verify) with slab i's back-projection — the
-        // host half of Algorithm 3 moves off the bp thread's critical
-        // path, the device copy stays on it.
-        std::optional<std::thread> t_prefetch;
-        if (cfg.prefetch)
-            t_prefetch.emplace([&] {
-                telemetry::set_current_rank(telemetry_rank);
-                guard([&] {
-                    while (auto item = q1.pop()) {
-                        BpItem b{item->idx, item->plan, std::nullopt};
-                        if (item->delta || item->encoded) {
-                            auto storage = qbuf->pop();
-                            if (!storage) break;  // pipeline tearing down
-                            pipeline::ScopedSpan span(tl, "prefetch", item->idx);
-                            b.staged = item->encoded
-                                           ? bp.stage_band(*item->encoded, std::move(*storage))
-                                           : bp.stage_band(*item->delta, std::move(*storage));
-                        }
-                        qp->push(std::move(b));
-                    }
-                    qp->close();
-                });
-            });
         std::thread t_bp([&] {
             telemetry::set_current_rank(telemetry_rank);
             guard([&] {
-                if (cfg.prefetch) {
-                    while (auto b = qp->pop()) {
-                        cancel_point("bp");
-                        if (b->staged) {
-                            bp.commit_band(*b->staged);
-                            qbuf->push(std::move(b->staged->planes));
-                        }
-                        VolItem v{b->idx, b->plan, Volume{}};
-                        {
-                            pipeline::ScopedSpan span(tl, "bp", b->idx);
-                            v.slab = bp.backproject(b->plan);
-                        }
-                        q2.push(std::move(v));
-                    }
-                } else {
-                    while (auto item = q1.pop()) {
-                        VolItem v{item->idx, item->plan, bp_one(*item)};
-                        q2.push(std::move(v));
-                    }
-                }
+                while (auto item = q1.pop())
+                    q2.push(VolItem{item->idx, item->plan, bp_one(*item)});
                 q2.close();
             });
         });
@@ -363,7 +296,6 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
         t_load.join();
         t_filter.join();
-        if (t_prefetch) t_prefetch->join();
         t_bp.join();
         t_store.join();
         error.rethrow_if_set();
@@ -371,7 +303,6 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
     stats.t_load = tl.stage_busy("load");
     stats.t_filter = tl.stage_busy("filter");
-    stats.t_prefetch = tl.stage_busy("prefetch");
     stats.t_bp = tl.stage_busy("bp");
     stats.t_reduce = tl.stage_busy("mpi");
     stats.t_store = tl.stage_busy("store");

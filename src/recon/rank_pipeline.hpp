@@ -60,7 +60,9 @@ struct RankConfig {
     std::size_t device_capacity = 512u << 20;    ///< per-rank device budget [bytes]
     double h2d_gbps = 12.0;                      ///< PCIe model for T_H2D
     double d2h_gbps = 12.0;                      ///< PCIe model for T_D2H
-    bool threaded = true;                        ///< 5-thread pipeline vs in-order execution
+    /// The 5-thread pipeline; false runs the stages in order on the
+    /// caller's thread — the reference the bitwise tests compare against.
+    bool threaded = true;
     std::optional<BeerLawScalar> beer;           ///< Eq. 1 calibration when source emits counts
     /// Retry transient source-load and device-transfer faults (nullopt —
     /// the default — fails loudly on the first fault).
@@ -78,12 +80,6 @@ struct RankConfig {
     /// per-range after filtering, cutting the host->device byte volume
     /// ~4x at the QuantizedTexture3 ablation's established precision.
     io::BandCodec band_codec = io::BandCodec::Raw;
-    /// Stage band i+1 (gather + q8 decode, the host half of Algorithm 3)
-    /// on a dedicated thread while slab i back-projects; the device copy
-    /// stays on the bp thread.  Raw results are bitwise-independent of
-    /// this switch.  Only meaningful with threaded = true (the sequential
-    /// path stages and commits back-to-back).
-    bool prefetch = false;
     /// Inter-stage FIFO capacity (the Fig. 9 queue depth; the perfmodel's
     /// queue_capacity).  The seed pipeline hard-coded 2.
     index_t queue_depth = 2;
@@ -94,7 +90,6 @@ struct RankConfig {
 struct RankStats {
     double t_load = 0.0;
     double t_filter = 0.0;
-    double t_prefetch = 0.0;  ///< band staging (gather + decode) overlap stage
     double t_bp = 0.0;      ///< kernel time only (T_bp)
     double t_reduce = 0.0;  ///< reducer callable time (T_reduce)
     double t_store = 0.0;
@@ -105,7 +100,7 @@ struct RankStats {
     std::vector<pipeline::StageSpan> spans;  ///< full Fig. 10 timeline
 
     /// Total stage busy time (the numerator of the overlap factor).
-    double busy() const { return t_load + t_filter + t_prefetch + t_bp + t_reduce + t_store; }
+    double busy() const { return t_load + t_filter + t_bp + t_reduce + t_store; }
     /// Overlap efficiency: busy() / wall; > 1 means stages genuinely
     /// overlapped (same definition as pipeline::Timeline::overlap_factor).
     double overlap_factor() const { return wall > 0.0 ? busy() / wall : 0.0; }
@@ -114,9 +109,9 @@ struct RankStats {
 /// External control surface of one running rank pipeline (the handle the
 /// serve engine holds; DESIGN.md §3k).  All members are optional: a null
 /// field simply disables that control.  The token is *polled* at every
-/// stage boundary of every slab (load, filter, prefetch hand-off, bp,
-/// reduce, store), so a cancel unwinds the pipeline — and releases the
-/// simulated device budget with it — within one stage boundary;
+/// stage boundary of every slab (load, filter, bp, reduce, store), so a
+/// cancel unwinds the pipeline — and releases the simulated device
+/// budget with it — within one stage boundary;
 /// `slabs_done` counts slabs that reached their terminal stage (reduce
 /// for non-roots, store for roots, restore for checkpoint replays) and is
 /// safe to read from any thread while run_rank is executing.

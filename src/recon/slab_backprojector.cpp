@@ -46,14 +46,12 @@ SlabBackprojector::SlabBackprojector(const Config& cfg, const std::vector<SlabPl
 {
 }
 
-SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStack& band,
-                                                            core::PageVector<float> storage) const
+SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStack& band) const
 {
     const index_t views = band.views();
     const index_t nu = band.cols();
     const index_t h = tex_.depth();
     StagedBand staged;
-    staged.planes = std::move(storage);
     staged.planes.resize(static_cast<std::size_t>(band.rows() * views * nu));
     index_t v = band.row_begin();
     const index_t v_end = v + band.rows();
@@ -77,8 +75,7 @@ SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStac
     return staged;
 }
 
-SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBand& e,
-                                                            core::PageVector<float> storage) const
+SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBand& e) const
 {
     // A transit bit-flip surfaces as IntegrityError (a TransientError);
     // the source EncodedBand is intact, so a retried decode recovers.
@@ -86,7 +83,7 @@ SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBan
     const ProjectionStack band =
         cfg_.retry ? faults::with_retry(names::kSiteBandDecode, *cfg_.retry, attempt)
                    : attempt();
-    StagedBand staged = stage_band(band, std::move(storage));
+    StagedBand staged = stage_band(band);
     staged.wire_bytes = e.wire_bytes();
     return staged;
 }

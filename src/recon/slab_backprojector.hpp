@@ -45,11 +45,10 @@ public:
     SlabBackprojector(const Config& cfg, const std::vector<SlabPlan>& plans);
 
     /// A band gathered into upload-ready plane order: the host-side half
-    /// of Algorithm 3, split from the device copy so the prefetch stage
-    /// can run it for band i+1 while band i's slab back-projects.
-    /// `planes` holds the wrap-split segments concatenated (each segment
-    /// is nplanes contiguous height*width planes); the buffer is plain
-    /// storage the pipeline recycles through its double-buffer ring.
+    /// of Algorithm 3, split from the device copy (commit_band) so the
+    /// two halves can be timed apart.  `planes` holds the wrap-split
+    /// segments concatenated (each segment is nplanes contiguous
+    /// height*width planes).
     struct StagedBand {
         struct Segment {
             index_t depth = 0;    ///< circular texture depth of the first plane
@@ -66,13 +65,12 @@ public:
     /// depth addressing, wrap-split runs).  Pure host-side work — no
     /// device traffic, no fault gates — so commit_band(stage_band(b)) is
     /// bitwise-identical to the historical one-shot upload_band(b).
-    /// `storage` is recycled as the staging buffer (resized as needed).
-    StagedBand stage_band(const ProjectionStack& band, core::PageVector<float> storage = {}) const;
+    StagedBand stage_band(const ProjectionStack& band) const;
 
     /// Decode a q8 band (site "band.decode", digest-verified, retried
     /// under the configured policy) and gather it.  wire_bytes is set so
     /// commit bills the compressed transport, not fp32 texels.
-    StagedBand stage_band(const io::EncodedBand& e, core::PageVector<float> storage = {}) const;
+    StagedBand stage_band(const io::EncodedBand& e) const;
 
     /// Device half: copy the staged segments into the circular texture
     /// (the simulated cudaMemcpy3D calls, fault-gated + digest-verified

@@ -1,18 +1,8 @@
 #include "telemetry/trace.hpp"
 
-#include <chrono>
-
 namespace xct::telemetry {
 
 namespace {
-
-/// Same clock as pipeline::now_seconds (steady_clock in seconds), so
-/// Timeline epochs translate directly onto the tracer's timebase.
-double wall_now()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 thread_local RankId t_current_rank{};
 
@@ -33,13 +23,13 @@ void Tracer::enable()
     MutexLock lk(m_);
     events_.clear();
     lanes_.clear();
-    epoch_ = wall_now();
+    epoch_ = flight::wall_now();
     enabled_.store(true, std::memory_order_relaxed);
 }
 
 double Tracer::now() const
 {
-    return wall_now() - epoch_;
+    return flight::wall_now() - epoch_;
 }
 
 index_t Tracer::lane_locked()

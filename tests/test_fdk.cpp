@@ -60,21 +60,29 @@ TEST(Fdk, SequentialAndThreadedPipelinesAgreeBitwise)
 {
     const CbctGeometry g = geo(32, 60);
     const auto phantom = phantom::shepp_logan_3d(g.dx * 13.0);
-    PhantomSource src_a(phantom, g);
-    PhantomSource src_b(phantom, g);
 
-    RankConfig a;
-    a.geometry = g;
-    a.threaded = false;
-    RankConfig b;
-    b.geometry = g;
-    b.threaded = true;
+    // Raw at the default queue depth, and the q8 hand-off through deeper
+    // queues (several encoded bands in flight between filter and bp).
+    const auto agree = [&](io::BandCodec codec, index_t queue_depth) {
+        SCOPED_TRACE(io::band_codec_name(codec));
+        PhantomSource src_a(phantom, g);
+        PhantomSource src_b(phantom, g);
+        RankConfig a;
+        a.geometry = g;
+        a.band_codec = codec;
+        a.queue_depth = queue_depth;
+        a.threaded = false;
+        RankConfig b = a;
+        b.threaded = true;
 
-    const FdkResult ra = reconstruct_fdk(a, src_a);
-    const FdkResult rb = reconstruct_fdk(b, src_b);
-    for (index_t i = 0; i < ra.volume.count(); ++i)
-        ASSERT_EQ(ra.volume.span()[static_cast<std::size_t>(i)],
-                  rb.volume.span()[static_cast<std::size_t>(i)]);
+        const FdkResult ra = reconstruct_fdk(a, src_a);
+        const FdkResult rb = reconstruct_fdk(b, src_b);
+        for (index_t i = 0; i < ra.volume.count(); ++i)
+            ASSERT_EQ(ra.volume.span()[static_cast<std::size_t>(i)],
+                      rb.volume.span()[static_cast<std::size_t>(i)]);
+    };
+    agree(io::BandCodec::Raw, 2);
+    agree(io::BandCodec::Q8, 3);
 }
 
 TEST(Fdk, OutOfCoreMatchesInCore)

@@ -88,10 +88,7 @@ int main(int argc, char** argv)
         .flag("autotune",
               "replace --groups/--ranks/--batches/--queue-depth with the model-driven "
               "planner's pick (their product caps the rank budget; the CLI choice is "
-              "always scored too)")
-        .flag("prefetch", "double-buffer band staging: overlap band i+1's gather/decode "
-                          "with slab i's back-projection")
-        .flag("sequential", "disable the 5-thread pipeline (debugging)");
+              "always scored too)");
     args.parse(argc, argv, "FDK cone-beam reconstruction");
 
     if (args.is_set("faults"))
@@ -112,7 +109,6 @@ int main(int argc, char** argv)
     index_t batches = args.get_int("batches");
     index_t queue_depth = args.get_int("queue-depth");
     const io::BandCodec codec = io::band_codec_from_name(args.get("band-codec"));
-    const bool prefetch = args.get_flag("prefetch");
     const std::size_t device_capacity = static_cast<std::size_t>(args.get_int("device-mib"))
                                         << 20;
 
@@ -244,9 +240,7 @@ int main(int argc, char** argv)
         cfg.window = filter::window_from_name(args.get("window"));
         cfg.batches = batches;
         cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
         cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
         cfg.queue_depth = queue_depth;
         if (gf.raw_counts) cfg.beer = gf.beer;
         const recon::FdkResult r = recon::reconstruct_fdk_slices(cfg, src, Range{lo, hi});
@@ -266,9 +260,7 @@ int main(int argc, char** argv)
         cfg.window = filter::window_from_name(args.get("window"));
         cfg.batches = batches;
         cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
         cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
         cfg.queue_depth = queue_depth;
         if (gf.raw_counts) cfg.beer = gf.beer;
         cfg.retry = retry;
@@ -292,9 +284,7 @@ int main(int argc, char** argv)
         cfg.window = filter::window_from_name(args.get("window"));
         cfg.batches = batches;
         cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
         cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
         cfg.queue_depth = queue_depth;
         if (gf.raw_counts) cfg.beer = gf.beer;
         cfg.retry = retry;
