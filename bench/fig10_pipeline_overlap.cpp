@@ -15,7 +15,6 @@
 
 #include "bench_common.hpp"
 #include "perfmodel/model.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/fdk.hpp"
 #include "telemetry/export.hpp"
 
@@ -36,20 +35,21 @@ int main()
         cfg.batches = 8;
         telemetry::tracer().enable();
         const recon::FdkResult r = recon::reconstruct_fdk(cfg, src);
-        telemetry::tracer().disable();  // keep the replay below out of the trace
+        telemetry::tracer().disable();
         const auto events = telemetry::tracer().events();
         telemetry::write_chrome_trace("fig10_trace.json", events);
         std::printf("wrote fig10_trace.json (%zu spans; open in ui.perfetto.dev)\n",
                     events.size());
 
-        pipeline::Timeline tl;
-        for (const auto& s : r.stats.spans) tl.record(s.stage, s.item, s.begin, s.end);
         std::printf("\n(a) measured single-device pipeline, tomo_00029 1/16 -> %lld^3:\n%s",
-                    static_cast<long long>(g.vol.x), tl.render(64).c_str());
-        std::printf("    stage busy: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n",
-                    r.stats.t_load, r.stats.t_filter, r.stats.t_bp, r.stats.t_store, r.stats.wall);
+                    static_cast<long long>(g.vol.x),
+                    telemetry::render_timeline(r.stats.spans, 64).c_str());
+        std::printf("    stage busy: load %.3f filter %.3f h2d %.3f bp %.3f store %.3f | wall "
+                    "%.3f s\n",
+                    r.stats.t_load, r.stats.t_filter, r.stats.t_h2d, r.stats.t_bp,
+                    r.stats.t_store, r.stats.wall);
         std::printf("    overlap factor %.2f (>1 means stages genuinely overlapped)\n",
-                    tl.overlap_factor());
+                    r.stats.overlap_factor());
     }
 
     // (b) modelled 128-GPU run (paper Fig. 10b: bumblebee, Ng=64, Nr=8).
@@ -61,10 +61,8 @@ int main()
         rc.layout = GroupLayout{16, 8};
         rc.batches = 8;
         const auto spans = perfmodel::simulate_spans(rc, perfmodel::MachineParams::abci_v100());
-        pipeline::Timeline tl;
-        for (const auto& s : spans) tl.record(s.stage, s.batch, s.begin, s.end);
         std::printf("\n(b) modelled rank timeline at 128 GPUs (bumblebee -> 4096^3, Nr=8):\n%s",
-                    tl.render(64).c_str());
+                    telemetry::render_timeline(spans, 64).c_str());
         const perfmodel::Projection p =
             perfmodel::simulate(rc, perfmodel::MachineParams::abci_v100());
         std::printf("    modelled end-to-end %.1f s (paper Fig. 10b: ~23.3 s incl. I/O)\n",

@@ -10,9 +10,9 @@
 #include <filesystem>
 
 #include "io/raw_io.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/export.hpp"
 
 int main(int argc, char** argv)
 {
@@ -56,20 +56,19 @@ int main(int argc, char** argv)
                 pfs.store_stats().seconds);
 
     std::printf("\n  per-rank stage busy seconds (group/rank = world layout):\n");
-    std::printf("  %-6s %-8s %-8s %-8s %-8s %-8s\n", "rank", "load", "filter", "bp", "mpi",
-                "store");
+    std::printf("  %-6s %-8s %-8s %-8s %-8s %-8s %-8s\n", "rank", "load", "filter", "h2d", "bp",
+                "reduce", "store");
     for (std::size_t i = 0; i < r.ranks.size(); ++i) {
         const auto& s = r.ranks[i];
-        std::printf("  %-6zu %-8.3f %-8.3f %-8.3f %-8.3f %-8.3f\n", i, s.t_load, s.t_filter,
-                    s.t_bp, s.t_reduce, s.t_store);
+        std::printf("  %-6zu %-8.3f %-8.3f %-8.3f %-8.3f %-8.3f %-8.3f\n", i, s.t_load,
+                    s.t_filter, s.t_h2d, s.t_bp, s.t_reduce, s.t_store);
     }
 
-    // Fig. 10-style overlap timeline of rank 0, rebuilt from its spans.
-    pipeline::Timeline tl;
-    for (const auto& span : r.ranks[0].spans) tl.record(span.stage, span.item, span.begin, span.end);
-    std::printf("\n  rank 0 pipeline timeline ('#' = busy):\n%s", tl.render(64).c_str());
+    // Fig. 10-style overlap timeline of rank 0, from its stage spans.
+    std::printf("\n  rank 0 pipeline timeline ('#' = busy):\n%s",
+                telemetry::render_timeline(r.ranks[0].spans, 64).c_str());
     std::printf("  overlap factor: %.2f (1.0 = fully serial; > 1 = stages overlapped)\n",
-                tl.overlap_factor());
+                r.ranks[0].overlap_factor());
 
     io::write_pgm_slice("distributed_axial.pgm", r.volume, n / 2, -0.05f, 0.45f);
     std::printf("  wrote distributed_axial.pgm\n");

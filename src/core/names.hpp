@@ -7,10 +7,10 @@
 // a fault plan never fire.  This header is the single source of truth —
 // tools/xct_lint enforces (rule `names`) that every string literal passed
 // to telemetry::Registry::{counter,gauge,histogram}, ScopedTrace,
-// Tracer::record*, flight::{record,intern,dump_postmortem},
-// fleet_observe, faults::{check,should_fail}, sim::Device::gate and
-// io::Pfs::guarded either appears verbatim below or extends one of the
-// registered prefixes (entries ending in '.').
+// telemetry::record_span, flight::dump_postmortem, fleet_observe,
+// faults::{check,should_fail}, sim::Device::gate and io::Pfs::guarded
+// either appears verbatim below or extends one of the registered prefixes
+// (entries ending in '.').
 //
 // To add a name: declare the constant here, use it at the call site, and
 // document non-obvious units in the comment.  Naming scheme (README
@@ -29,6 +29,17 @@ inline constexpr const char* kCatIntegrity = "integrity";
 inline constexpr const char* kCatFlight = "flight";
 inline constexpr const char* kCatBench = "bench";  ///< micro-bench probe spans
 
+// ---- pipeline stage spans (cat kCatPipeline; Fig. 9's stages) -----------
+// Each names one stage of recon::run_rank, one span per batch; RankStats,
+// the run report and the fleet gather are keyed by them.
+inline constexpr const char* kStageLoad = "load";
+inline constexpr const char* kStageFilter = "filter";
+inline constexpr const char* kStageH2d = "h2d";  ///< band decode + stage + texture copy
+inline constexpr const char* kStageBp = "bp";
+inline constexpr const char* kStageReduce = "reduce";
+inline constexpr const char* kStageStore = "store";
+inline constexpr const char* kStageRestore = "restore";  ///< checkpointed slab replay
+
 // ---- trace span names ---------------------------------------------------
 inline constexpr const char* kSpanReduceSum = "reduce_sum";
 inline constexpr const char* kSpanAllreduceSum = "allreduce_sum";
@@ -41,7 +52,8 @@ inline constexpr const char* kSpanRetry = "retry";
 inline constexpr const char* kSpanCkptSave = "ckpt.save";
 inline constexpr const char* kSpanCkptRestore = "ckpt.restore";
 inline constexpr const char* kSpanTakeover = "takeover";
-inline constexpr const char* kSpanPfsPrefix = "pfs.";  ///< + "load" / "store"
+inline constexpr const char* kSpanPfsLoad = "pfs.load";
+inline constexpr const char* kSpanPfsStore = "pfs.store";
 inline constexpr const char* kSpanVerify = "verify";   ///< one digest verification
 inline constexpr const char* kSpanFlightDump = "dump";  ///< one post-mortem ring dump
 inline constexpr const char* kSpanBenchProbe = "probe";  ///< flight-overhead probe span
@@ -95,7 +107,7 @@ inline constexpr const char* kMetricFlightThreads = "flight.threads";
 // back out as fleet p50/p95/p99.
 inline constexpr const char* kMetricFleetStagePrefix = "fleet.stage.";  ///< + stage + ".seconds"
 inline constexpr const char* kMetricFleetRanks = "fleet.ranks";  ///< ranks aggregated
-// Pseudo-stage fed to fleet_observe next to the five pipeline stages.
+// Pseudo-stage fed to fleet_observe next to the pipeline stages.
 inline constexpr const char* kStageWall = "wall";  ///< whole-rank wall clock
 // soak.* (src/soak): fleet soak harness accounting.  jobs = jobs driven to
 // a terminal state, degraded/wedged split that total; stall twins mirror

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "backproj/kernel.hpp"
+#include "core/names.hpp"
 #include "filter/ramp.hpp"
 #include "sim/device.hpp"
 
@@ -205,14 +206,16 @@ double tail_latency_bound(const RunConfig& cfg, const MachineParams& m, double f
     return simulate(cfg, m, queue_capacity).runtime * slack + fault_delay_s;
 }
 
-std::vector<SimSpan> simulate_spans(const RunConfig& cfg, const MachineParams& m,
+std::vector<telemetry::TraceEvent> simulate_spans(const RunConfig& cfg, const MachineParams& m,
                                     index_t queue_capacity)
 {
     require(queue_capacity > 0, "simulate_spans: queue capacity must be positive");
     const auto bt = batch_times(cfg, m);
     const auto finish = schedule(bt, queue_capacity);
-    static const char* names[5] = {"load", "filter", "bp", "mpi", "store"};
-    std::vector<SimSpan> spans;
+    static constexpr const char* kStages[5] = {names::kStageLoad, names::kStageFilter,
+                                               names::kStageBp, names::kStageReduce,
+                                               names::kStageStore};
+    std::vector<telemetry::TraceEvent> spans;
     for (std::size_t i = 0; i < bt.size(); ++i)
         for (std::size_t s = 0; s < 5; ++s) {
             const double dur = [&] {
@@ -224,8 +227,9 @@ std::vector<SimSpan> simulate_spans(const RunConfig& cfg, const MachineParams& m
                     default: return bt[i].store;
                 }
             }();
-            spans.push_back(SimSpan{names[s], static_cast<index_t>(i), finish[i][s] - dur,
-                                    finish[i][s]});
+            spans.push_back(telemetry::TraceEvent{kStages[s], names::kCatPipeline, RankId{}, 0,
+                                                  static_cast<index_t>(i), 0,
+                                                  finish[i][s] - dur, finish[i][s]});
         }
     return spans;
 }

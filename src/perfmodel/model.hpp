@@ -19,11 +19,11 @@
 // regenerate the scaling figures (DESIGN.md §2).
 
 #include <array>
-#include <string>
 #include <vector>
 
 #include "core/decompose.hpp"
 #include "core/geometry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::perfmodel {
 
@@ -123,14 +123,10 @@ double tail_latency_bound(const RunConfig& cfg, const MachineParams& m,
                           index_t queue_capacity = 2);
 
 /// Simulated stage spans of one rank (regenerates Fig. 10 from the model):
-/// returns, per batch, the [begin, end) of each of the five stages.
-struct SimSpan {
-    std::string stage;
-    index_t batch = 0;
-    double begin = 0.0;
-    double end = 0.0;
-};
-std::vector<SimSpan> simulate_spans(const RunConfig& cfg, const MachineParams& m,
+/// per batch (TraceEvent::item), the [begin, end) of the load, filter, bp
+/// (h2d + kernel + d2h), reduce and store stages, named as the pipeline
+/// names its spans.
+std::vector<telemetry::TraceEvent> simulate_spans(const RunConfig& cfg, const MachineParams& m,
                                     index_t queue_capacity = 2);
 
 /// Calibrate TH_bp and TH_flt on the present machine by timing the actual

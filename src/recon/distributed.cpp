@@ -10,7 +10,6 @@
 #include "filter/parker.hpp"
 #include "integrity/integrity.hpp"
 #include "integrity/watchdog.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/slab_backprojector.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -56,7 +55,7 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                              0.0,
                              {}};
 
-    const double t0 = pipeline::now_seconds();
+    const double t0 = telemetry::flight::wall_now();
     minimpi::run(nranks, [&](minimpi::Communicator& world) {
         const RankId rank{world.rank()};
         const GroupId group = cfg.layout.group_of(rank);
@@ -69,19 +68,21 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
         // here or the collective deadlocks, which is why dead ranks call
         // it on their early-return path.
         const auto fleet_gather = [&](const RankStats& st) {
-            static constexpr const char* kStages[6] = {"load",   "filter", "bp",
-                                                       "reduce", "store",  "wall"};
+            static constexpr const char* kStages[7] = {
+                names::kStageLoad,   names::kStageFilter, names::kStageH2d, names::kStageBp,
+                names::kStageReduce, names::kStageStore,  names::kStageWall};
             const std::vector<float> mine = {
-                static_cast<float>(st.t_load),  static_cast<float>(st.t_filter),
-                static_cast<float>(st.t_bp),    static_cast<float>(st.t_reduce),
-                static_cast<float>(st.t_store), static_cast<float>(st.wall)};
+                static_cast<float>(st.t_load),   static_cast<float>(st.t_filter),
+                static_cast<float>(st.t_h2d),    static_cast<float>(st.t_bp),
+                static_cast<float>(st.t_reduce), static_cast<float>(st.t_store),
+                static_cast<float>(st.wall)};
             std::vector<float> all(static_cast<std::size_t>(nranks) * mine.size());
             world.gather(mine, all, 0);
             if (rank != RankId{0}) return;
             std::uint64_t contributing = 0;
             for (index_t r = 0; r < nranks; ++r) {
                 const std::size_t base = static_cast<std::size_t>(r) * mine.size();
-                if (all[base + 5] <= 0.0f) continue;  // dead rank: zeros
+                if (all[base + mine.size() - 1] <= 0.0f) continue;  // dead rank: zero wall
                 ++contributing;
                 for (std::size_t s = 0; s < mine.size(); ++s)
                     telemetry::fleet_observe(kStages[s], static_cast<double>(all[base + s]));
@@ -333,7 +334,7 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
             run_rank(rc, *source, reduce, store);
         fleet_gather(result.ranks[static_cast<std::size_t>(rank.value())]);
     });
-    result.wall_seconds = pipeline::now_seconds() - t0;
+    result.wall_seconds = telemetry::flight::wall_now() - t0;
     return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
 #include <thread>
 
 #include "core/mutex.hpp"
@@ -13,6 +14,7 @@
 #include "integrity/watchdog.hpp"
 #include "pipeline/queue.hpp"
 #include "recon/slab_backprojector.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace xct::recon {
@@ -80,7 +82,13 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     const index_t nb = (cfg.slices.length() + cfg.batches - 1) / cfg.batches;
     const auto plans = plan_slabs(cfg.geometry, cfg.slices, nb);
 
-    pipeline::Timeline tl;
+    // The run log: every span this run's threads record (RunLogScope on
+    // the caller and each stage thread), on the run's own epoch.  The
+    // RankStats below are built from it.
+    telemetry::Tracer log;
+    log.enable();
+    const telemetry::RunLogScope in_log(log);
+    using telemetry::ScopedTrace;
     SlabBackprojector::Config bpc{cfg.geometry, cfg.views, cfg.device_capacity,
                                   cfg.h2d_gbps,  cfg.d2h_gbps, cfg.retry};
     SlabBackprojector bp(bpc, plans);
@@ -112,7 +120,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
             resume = std::min(resume, cfg.checkpoint->resume_limit);
         for (index_t i = 0; i < resume; ++i) {
             if (!ckpt->has_slab(SlabId{i})) continue;
-            pipeline::ScopedSpan span(tl, "restore", i);
+            ScopedTrace span(names::kCatPipeline, names::kStageRestore, i);
             // load_slab runs the checkpoint.load corruption point and
             // digest verify; a transit flip is transient, so re-read.
             auto attempt = [&] { return ckpt->load_slab(SlabId{i}); };
@@ -127,7 +135,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
     auto load_one = [&](index_t idx) {
         cancel_point("load");
-        pipeline::ScopedSpan span(tl, "load", idx);
+        ScopedTrace span(names::kCatPipeline, names::kStageLoad, idx);
         LoadItem item{idx, plans[static_cast<std::size_t>(idx)], std::nullopt, std::nullopt};
         const Range band = item.plan.delta;
         if (!band.empty()) {
@@ -162,6 +170,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     // run's texture — and therefore the restarted slabs — bitwise
     // (Resilience.CheckpointRestartMidRunIsBitwiseIdentical).
     auto upload_item = [&](const LoadItem& item) {
+        ScopedTrace span(names::kCatPipeline, names::kStageH2d, item.idx);
         if (item.encoded)
             bp.upload_band(*item.encoded);
         else if (item.delta)
@@ -172,7 +181,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
             LoadItem item = load_one(i);
             if (!item.delta) continue;
             {
-                pipeline::ScopedSpan span(tl, "filter", i);
+                ScopedTrace span(names::kCatPipeline, names::kStageFilter, i);
                 filter_item(cfg, engine, parker ? &*parker : nullptr, counts, item);
             }
             upload_item(item);
@@ -181,12 +190,12 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     auto bp_one = [&](const LoadItem& item) {
         cancel_point("bp");
         upload_item(item);
-        pipeline::ScopedSpan span(tl, "bp", item.idx);
+        ScopedTrace span(names::kCatPipeline, names::kStageBp, item.idx);
         return bp.backproject(item.plan);
     };
     auto reduce_one = [&](VolItem& v) {
         cancel_point("reduce");
-        pipeline::ScopedSpan span(tl, "mpi", v.idx);
+        ScopedTrace span(names::kCatPipeline, names::kStageReduce, v.idx);
         // Supervised: a collective stuck past the deadline (stalled peer)
         // surfaces as DeadlineExceeded instead of wedging the run.  Note
         // this fail-louds the *team* — mid-collective state cannot be
@@ -203,7 +212,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     };
     auto store_one = [&](const VolItem& v) {
         cancel_point("store");
-        pipeline::ScopedSpan span(tl, "store", v.idx);
+        ScopedTrace span(names::kCatPipeline, names::kStageStore, v.idx);
         store(v.slab, v.plan);
         // Roots record the reduced slab; the cursor only advances once the
         // slab is durably saved, so a crash between store and advance just
@@ -219,7 +228,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         for (index_t i = resume; i < static_cast<index_t>(plans.size()); ++i) {
             LoadItem item = load_one(i);
             {
-                pipeline::ScopedSpan span(tl, "filter", i);
+                ScopedTrace span(names::kCatPipeline, names::kStageFilter, i);
                 filter_item(cfg, engine, parker ? &*parker : nullptr, counts, item);
             }
             VolItem v{i, item.plan, bp_one(item)};
@@ -230,7 +239,8 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         pipeline::BoundedQueue<LoadItem> q0(qd), q1(qd);
         pipeline::BoundedQueue<VolItem> q2(qd), q3(qd);
         // Stage threads inherit the rank tag of the calling (minimpi rank)
-        // thread so telemetry attributes their spans to the right rank.
+        // thread so telemetry attributes their spans to the right rank, and
+        // the run log so their spans count towards this run.
         const RankId telemetry_rank = telemetry::current_rank();
 
         FirstError error;
@@ -248,6 +258,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
         std::thread t_load([&] {
             telemetry::set_current_rank(telemetry_rank);
+            const telemetry::RunLogScope stage_in_log(log);
             guard([&] {
                 for (index_t i = resume; i < static_cast<index_t>(plans.size()); ++i)
                     q0.push(load_one(i));
@@ -256,11 +267,12 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         });
         std::thread t_filter([&] {
             telemetry::set_current_rank(telemetry_rank);
+            const telemetry::RunLogScope stage_in_log(log);
             guard([&] {
                 while (auto item = q0.pop()) {
                     cancel_point("filter");
                     {
-                        pipeline::ScopedSpan span(tl, "filter", item->idx);
+                        ScopedTrace span(names::kCatPipeline, names::kStageFilter, item->idx);
                         filter_item(cfg, engine, parker ? &*parker : nullptr, counts, *item);
                     }
                     q1.push(std::move(*item));
@@ -270,6 +282,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         });
         std::thread t_bp([&] {
             telemetry::set_current_rank(telemetry_rank);
+            const telemetry::RunLogScope stage_in_log(log);
             guard([&] {
                 while (auto item = q1.pop())
                     q2.push(VolItem{item->idx, item->plan, bp_one(*item)});
@@ -281,6 +294,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         // collectives must be called from the rank's own thread.
         std::thread t_store([&] {
             telemetry::set_current_rank(telemetry_rank);
+            const telemetry::RunLogScope stage_in_log(log);
             guard([&] {
                 while (auto v = q3.pop()) store_one(*v);
             });
@@ -301,15 +315,35 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         error.rethrow_if_set();
     }
 
-    stats.t_load = tl.stage_busy("load");
-    stats.t_filter = tl.stage_busy("filter");
-    stats.t_bp = tl.stage_busy("bp");
-    stats.t_reduce = tl.stage_busy("mpi");
-    stats.t_store = tl.stage_busy("store");
-    stats.wall = tl.makespan();
+    // RankStats from the run log: its pipeline spans (run-relative), the
+    // per-stage busy sums, and the wall time as the last span's end.  The
+    // per-stage sums also feed `pipeline.stage.<stage>.{seconds,spans}`.
+    std::map<std::string, std::pair<double, std::uint64_t>> busy;
+    for (telemetry::TraceEvent& e : log.events()) {
+        if (e.cat != names::kCatPipeline) continue;
+        auto& [seconds, count] = busy[e.name];
+        seconds += e.end - e.begin;
+        ++count;
+        stats.wall = std::max(stats.wall, e.end);
+        stats.spans.push_back(std::move(e));
+    }
+    for (const auto& [stage, sum] : busy) {
+        const std::string metric = names::kMetricPipelineStagePrefix + stage;
+        telemetry::registry().gauge(metric + ".seconds").add(sum.first);
+        telemetry::registry().counter(metric + ".spans").add(sum.second);
+    }
+    const auto busy_of = [&](const char* stage) {
+        const auto it = busy.find(stage);
+        return it == busy.end() ? 0.0 : it->second.first;
+    };
+    stats.t_load = busy_of(names::kStageLoad);
+    stats.t_filter = busy_of(names::kStageFilter);
+    stats.t_h2d = busy_of(names::kStageH2d);
+    stats.t_bp = busy_of(names::kStageBp);
+    stats.t_reduce = busy_of(names::kStageReduce);
+    stats.t_store = busy_of(names::kStageStore);
     stats.h2d = bp.device().h2d_stats();
     stats.d2h = bp.device().d2h_stats();
-    stats.spans = tl.spans();
     return stats;
 }
 

@@ -10,7 +10,10 @@
 //
 // The back-projection stage owns the simulated device and implements
 // Algorithm 3: a circular texture of H detector rows; each batch uploads
-// only its *differential* rows (Eq. 6), splitting copies that wrap.
+// only its *differential* rows (Eq. 6), splitting copies that wrap.  The
+// upload is recorded as its own "h2d" stage span, apart from the kernel's
+// "bp" span; every stage span lands in the run's log (telemetry/trace.hpp),
+// from which run_rank builds its RankStats.
 //
 // Resilience (see DESIGN.md "Resilience"): source loads pass the
 // "source.load" fault gate and are retried under cfg.retry; with
@@ -34,9 +37,9 @@
 #include "faults/retry.hpp"
 #include "filter/ramp.hpp"
 #include "io/band_codec.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/source.hpp"
 #include "sim/device.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::recon {
 
@@ -85,11 +88,13 @@ struct RankConfig {
     index_t queue_depth = 2;
 };
 
-/// Measured per-rank statistics (stage busy times follow Table 5's
-/// columns; transfer stats come from the simulated device).
+/// Measured per-rank statistics, built from the run's log of stage spans
+/// (stage busy times follow Table 5's columns; transfer stats come from
+/// the simulated device).
 struct RankStats {
     double t_load = 0.0;
     double t_filter = 0.0;
+    double t_h2d = 0.0;     ///< band upload: q8 decode, staging, texture copy
     double t_bp = 0.0;      ///< kernel time only (T_bp)
     double t_reduce = 0.0;  ///< reducer callable time (T_reduce)
     double t_store = 0.0;
@@ -97,12 +102,14 @@ struct RankStats {
     index_t slabs_restored = 0;  ///< slabs replayed from the checkpoint
     sim::LinkStats h2d{};
     sim::LinkStats d2h{};
-    std::vector<pipeline::StageSpan> spans;  ///< full Fig. 10 timeline
+    /// The Fig. 10 timeline: every "pipeline" span of the run, in seconds
+    /// since the run started.
+    std::vector<telemetry::TraceEvent> spans;
 
     /// Total stage busy time (the numerator of the overlap factor).
-    double busy() const { return t_load + t_filter + t_bp + t_reduce + t_store; }
+    double busy() const { return t_load + t_filter + t_h2d + t_bp + t_reduce + t_store; }
     /// Overlap efficiency: busy() / wall; > 1 means stages genuinely
-    /// overlapped (same definition as pipeline::Timeline::overlap_factor).
+    /// overlapped.
     double overlap_factor() const { return wall > 0.0 ? busy() / wall : 0.0; }
 };
 

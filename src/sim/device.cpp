@@ -12,20 +12,17 @@ namespace xct::sim {
 namespace {
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
-/// Mirror a transfer into the process telemetry: always-on byte/transfer
-/// counters, plus (when tracing) a span whose duration is the *modelled*
-/// link time, placed at the wall-clock instant of the call — the trace
-/// shows T_H2D/T_D2H where they occur in the pipeline.
+/// Mirror a transfer into the process telemetry: byte/transfer counters
+/// plus a span whose duration is the *modelled* link time, placed at the
+/// wall-clock instant of the call — traces and flight dumps show
+/// T_H2D/T_D2H where they occur in the pipeline.
 void telemetry_transfer(const char* dir, std::size_t bytes, double seconds)
 {
     auto& reg = telemetry::registry();
     reg.counter(std::string(names::kMetricSimPrefix) + dir + ".bytes").add(bytes);
     reg.counter(std::string(names::kMetricSimPrefix) + dir + ".transfers").add(1);
-    auto& tr = telemetry::tracer();
-    if (tr.enabled()) {
-        const double now = tr.now();
-        tr.record(dir, names::kCatSim, now, now + seconds, -1, bytes);
-    }
+    const double now = telemetry::flight::wall_now();
+    telemetry::record_span(names::kCatSim, dir, now, now + seconds, -1, bytes);
 }
 }
 

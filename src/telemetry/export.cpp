@@ -1,9 +1,11 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include "core/json.hpp"
 
@@ -113,6 +115,46 @@ void write_metrics_json(const std::filesystem::path& path, const MetricsSnapshot
 {
     auto os = open_out(path);
     write_metrics_json(os, s);
+}
+
+std::string render_timeline(const std::vector<TraceEvent>& spans, index_t width)
+{
+    if (spans.empty()) return "(empty timeline)\n";
+    double span_end = 0.0;
+    for (const auto& s : spans) span_end = std::max(span_end, s.end);
+    if (span_end <= 0.0) span_end = 1e-9;
+
+    std::vector<std::string> order;
+    for (const auto& s : spans)
+        if (std::find(order.begin(), order.end(), s.name) == order.end()) order.push_back(s.name);
+
+    std::size_t label_w = 0;
+    for (const auto& n : order) label_w = std::max(label_w, n.size());
+
+    const double cols = static_cast<double>(width);
+    auto clamp_col = [&](double c) {
+        return std::clamp<index_t>(static_cast<index_t>(c), 0, width - 1);
+    };
+    std::ostringstream out;
+    for (const auto& name : order) {
+        std::string row(static_cast<std::size_t>(width), '.');
+        for (const auto& s : spans) {
+            if (s.name != name) continue;
+            // Half-open pixel mapping: a span covers the columns its
+            // interval intersects, never bleeding into the column that
+            // starts exactly at its end; a degenerate/sub-column span
+            // still marks the column it falls in (Fig. 10 regression:
+            // very short spans must not vanish from the chart).
+            const index_t c0 = clamp_col(std::floor(s.begin / span_end * cols));
+            index_t c1 = clamp_col(std::ceil(s.end / span_end * cols) - 1.0);
+            if (c1 < c0) c1 = c0;
+            for (index_t c = c0; c <= c1; ++c) row[static_cast<std::size_t>(c)] = '#';
+        }
+        out << name << std::string(label_w - name.size(), ' ') << " |" << row << "|\n";
+    }
+    out << std::string(label_w, ' ') << " 0" << std::string(static_cast<std::size_t>(width) - 1, ' ')
+        << span_end << "s\n";
+    return out.str();
 }
 
 }  // namespace xct::telemetry

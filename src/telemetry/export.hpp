@@ -7,10 +7,13 @@
 //     plus process_name metadata per rank.  Loadable in Perfetto
 //     (ui.perfetto.dev) and chrome://tracing.
 //   * write_metrics_csv / write_metrics_json — flat dumps of a
-//     MetricsSnapshot (histograms expanded into .le_<bound> rows).
+//     MetricsSnapshot (histograms expanded into .le_<bound> rows);
+//   * render_timeline — the Fig. 10 overlap chart of a run's stage
+//     spans as ASCII.
 
 #include <filesystem>
 #include <ostream>
+#include <string>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -28,5 +31,10 @@ void write_metrics_csv(const std::filesystem::path& path, const MetricsSnapshot&
 
 void write_metrics_json(std::ostream& os, const MetricsSnapshot& s);
 void write_metrics_json(const std::filesystem::path& path, const MetricsSnapshot& s);
+
+/// One row per span name (in order of first appearance), '#' where that
+/// name is busy; `width` columns cover [0, last span end].  A span
+/// narrower than a column still marks the column it falls in.
+std::string render_timeline(const std::vector<TraceEvent>& spans, index_t width = 72);
 
 }  // namespace xct::telemetry

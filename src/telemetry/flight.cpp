@@ -6,12 +6,12 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <set>
 
 #include "core/mutex.hpp"
 #include "core/names.hpp"
 #include "core/scratch.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::telemetry::flight {
 
@@ -44,7 +44,6 @@ struct State {
     mutable Mutex m{"telemetry.flight"};
     std::vector<std::shared_ptr<Ring>> rings XCT_GUARDED_BY(m);
     std::vector<std::size_t> free_rings XCT_GUARDED_BY(m);  ///< retired, reusable
-    std::set<std::string> interned XCT_GUARDED_BY(m);
     std::filesystem::path dump_dir XCT_GUARDED_BY(m);
     std::atomic<bool> armed{false};
     std::atomic<std::uint64_t> postmortems{0};
@@ -75,7 +74,7 @@ std::shared_ptr<Ring> acquire_ring()
     return ring;
 }
 
-// Thread-local ring lease: acquired on the thread's first record(),
+// Thread-local ring lease: acquired on the thread's first span,
 // retired to the free list when the thread exits.  The retired ring's
 // events stay readable until a new thread claims and overwrites it.
 struct LocalRing {
@@ -103,6 +102,9 @@ std::vector<std::shared_ptr<Ring>> all_rings()
     return st.rings;
 }
 
+/// The calling thread's run log (RunLogScope), or none.
+thread_local Tracer* t_run_log = nullptr;
+
 std::atomic<bool> g_in_fatal_signal{false};
 
 void fatal_signal_handler(int sig)
@@ -127,12 +129,18 @@ void warm()
     local_ring();
 }
 
-void record(const char* cat, const char* name, double abs_begin, double abs_end, index_t item,
-            std::uint64_t bytes)
+}  // namespace xct::telemetry::flight
+
+namespace xct::telemetry {
+
+// The one span writer (trace.hpp).  It lives next to the rings because
+// the ring store is its always-on, warm path.
+void record_span(const char* cat, const char* name, double abs_begin, double abs_end,
+                 index_t item, std::uint64_t bytes)
 {
-    Ring& r = local_ring();
+    flight::Ring& r = flight::local_ring();
     const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    Slot& s = r.slots[h & (kRingCapacity - 1)];
+    flight::Slot& s = r.slots[h & (flight::kRingCapacity - 1)];
     s.seq.store(0, std::memory_order_relaxed);  // invalidate while writing
     s.cat.store(cat, std::memory_order_relaxed);
     s.name.store(name, std::memory_order_relaxed);
@@ -143,46 +151,48 @@ void record(const char* cat, const char* name, double abs_begin, double abs_end,
     s.end.store(abs_end, std::memory_order_relaxed);
     s.seq.store(h + 1, std::memory_order_release);
     r.head.store(h + 1, std::memory_order_release);
+
+    Tracer& tr = tracer();
+    if (tr.enabled()) tr.append(cat, name, abs_begin, abs_end, item, bytes);
+    if (flight::t_run_log != nullptr)
+        flight::t_run_log->append(cat, name, abs_begin, abs_end, item, bytes);
 }
 
-const char* intern(const std::string& s)
+RunLogScope::RunLogScope(Tracer& log) : prev_(flight::t_run_log)
 {
-    // The pipeline's stage names — the only dynamic names on the warm
-    // path — resolve without the lock.
-    static constexpr std::array<const char*, 7> kWellKnown = {
-        "load", "filter", "bp", "mpi", "store", "restore", "reduce"};
-    for (const char* w : kWellKnown)
-        if (s == w) return w;
-    State& st = state();
-    MutexLock lk(st.m);
-    const auto [it, inserted] = st.interned.insert(s);
-    if (inserted) scratch::note_heap_event();
-    return it->c_str();
+    flight::t_run_log = &log;
 }
 
-std::vector<FlightEvent> snapshot()
+RunLogScope::~RunLogScope()
 {
-    std::vector<FlightEvent> out;
+    flight::t_run_log = prev_;
+}
+
+}  // namespace xct::telemetry
+
+namespace xct::telemetry::flight {
+
+std::vector<TraceEvent> snapshot()
+{
+    std::vector<TraceEvent> out;
     for (const auto& ring : all_rings()) {
         const std::uint64_t head = ring->head.load(std::memory_order_acquire);
         const std::uint64_t start = head > kRingCapacity ? head - kRingCapacity : 0;
         for (std::uint64_t i = start; i < head; ++i) {
             const Slot& s = ring->slots[i & (kRingCapacity - 1)];
             if (s.seq.load(std::memory_order_acquire) != i + 1) continue;
-            FlightEvent e;
-            e.cat = s.cat.load(std::memory_order_relaxed);
-            e.name = s.name.load(std::memory_order_relaxed);
-            e.rank = RankId{s.rank.load(std::memory_order_relaxed)};
-            e.lane = ring->lane;
-            e.item = s.item.load(std::memory_order_relaxed);
-            e.bytes = s.bytes.load(std::memory_order_relaxed);
-            e.begin = s.begin.load(std::memory_order_relaxed);
-            e.end = s.end.load(std::memory_order_relaxed);
+            const char* cat = s.cat.load(std::memory_order_relaxed);
+            const char* name = s.name.load(std::memory_order_relaxed);
+            const RankId rank{s.rank.load(std::memory_order_relaxed)};
+            const index_t item = s.item.load(std::memory_order_relaxed);
+            const std::uint64_t bytes = s.bytes.load(std::memory_order_relaxed);
+            const double begin = s.begin.load(std::memory_order_relaxed);
+            const double end = s.end.load(std::memory_order_relaxed);
             // Re-check: the owner may have started overwriting the slot
             // while we read it — drop the torn copy.
             if (s.seq.load(std::memory_order_acquire) != i + 1) continue;
-            if (e.cat == nullptr || e.name == nullptr) continue;
-            out.push_back(e);
+            if (cat == nullptr || name == nullptr) continue;
+            out.push_back(TraceEvent{name, cat, rank, ring->lane, item, bytes, begin, end});
         }
     }
     return out;
@@ -241,7 +251,7 @@ std::filesystem::path dump_postmortem(const char* reason)
     const double t0 = wall_now();
     dump(path);
     // The dump itself becomes a span, so a later dump shows this one.
-    record(names::kCatFlight, names::kSpanFlightDump, t0, wall_now());
+    record_span(names::kCatFlight, names::kSpanFlightDump, t0, wall_now());
     std::fprintf(stderr, "flight: wrote post-mortem trace %s (reason: %s)\n",
                  path.string().c_str(), reason);
     return path;
@@ -249,25 +259,19 @@ std::filesystem::path dump_postmortem(const char* reason)
 
 void dump(const std::filesystem::path& path)
 {
-    const std::vector<FlightEvent> events = snapshot();
-    // Rebase onto the earliest span so the trace opens at t = 0 (the
-    // raw timebase is steady-clock seconds since boot).
-    double t0 = 0.0;
-    bool first = true;
-    for (const FlightEvent& e : events) {
-        if (first || e.begin < t0) t0 = e.begin;
-        first = false;
-    }
-    std::vector<TraceEvent> out;
-    out.reserve(events.size());
-    for (const FlightEvent& e : events)
-        out.push_back(TraceEvent{e.name, e.cat, e.rank, e.lane, e.item, e.bytes, e.begin - t0,
-                                 e.end - t0});
-    std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
+    std::vector<TraceEvent> events = snapshot();
+    std::sort(events.begin(), events.end(), [](const TraceEvent& a, const TraceEvent& b) {
         return a.begin < b.begin;
     });
+    // Rebase onto the earliest span so the trace opens at t = 0 (the
+    // raw timebase is steady-clock seconds since boot).
+    const double t0 = events.empty() ? 0.0 : events.front().begin;
+    for (TraceEvent& e : events) {
+        e.begin -= t0;
+        e.end -= t0;
+    }
     if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path());
-    write_chrome_trace(path, out);
+    write_chrome_trace(path, events);
 }
 
 void install_signal_handlers()

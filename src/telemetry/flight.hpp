@@ -4,38 +4,43 @@
 // The tracer (telemetry/trace.hpp) records everything but only when
 // enabled — a run that crashes without --trace leaves no evidence.  The
 // flight recorder is the complement (DESIGN.md §3g "Performance
-// observatory"): every thread continuously writes its spans into a
-// private fixed-size ring, overwriting the oldest, so the *recent past*
-// of all threads is always available.  When the integrity Watchdog
-// trips, a fault is detected, or a fatal signal fires, the rings are
-// dumped as a Chrome/Perfetto trace — a post-mortem of what every stage
-// was doing in the seconds before the failure.
+// observatory"): every span that telemetry::record_span() writes — the
+// pipeline stages, sim::Device and io::Pfs transfers, collectives, filter
+// calls — also lands in the calling thread's private fixed-size ring,
+// overwriting the oldest, so the *recent past* of all threads is always
+// available.  When the integrity Watchdog trips, a fault is detected, or a
+// fatal signal fires, the rings are dumped as a Chrome/Perfetto trace — a
+// post-mortem of what every stage was doing in the seconds before the
+// failure.
 //
-// Cost model (the bench integrity/overhead section asserts < 2%):
-//   * recording is lock-free and allocation-free when warm — one ring
-//     slot store (relaxed atomics, single writer) per span; the only
-//     cold paths are first-record-on-a-thread (ring acquisition) and
-//     interning a previously unseen dynamic name;
+// Cost model (the bench flight section asserts < 2%):
+//   * the ring store is lock-free and allocation-free when warm — one
+//     ring slot store (relaxed atomics, single writer) per span; the only
+//     cold path is first-record-on-a-thread (ring acquisition);
 //   * rings are recycled through a free list when threads exit, so a
-//     pipeline that spawns stage threads per batch group reuses the same
-//     ~5 rings instead of growing without bound, and a dead thread's
-//     last spans survive until a new thread claims its ring;
+//     pipeline that spawns stage threads per run reuses the same ~5
+//     rings instead of growing without bound, and a dead thread's last
+//     spans survive until a new thread claims its ring;
 //   * readers (snapshot/dump) never block writers: slot fields are
 //     individually atomic, and a slot overwritten mid-read is detected
 //     via its sequence stamp and dropped.
 //
-// Name lifetime: rings store `const char*`.  Callers pass string
-// literals (ScopedTrace) or intern() dynamic names first; interned
-// pointers live for the process.
+// The rings are a bounded window, not a complete record: a run-scoped
+// query belongs to the run log (trace.hpp), which never drops a span.
+// Rings store the `const char*` cat and name that record_span() was given,
+// so both must be process-lifetime strings.
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <string>
 #include <vector>
 
-#include "core/ids.hpp"
 #include "core/types.hpp"
+
+namespace xct::telemetry {
+
+struct TraceEvent;
+
+}  // namespace xct::telemetry
 
 namespace xct::telemetry::flight {
 
@@ -47,44 +52,20 @@ inline constexpr std::size_t kRingCapacity = 4096;
 /// firing on every batch must not flood the filesystem.
 inline constexpr std::uint64_t kMaxPostmortems = 16;
 
-/// One decoded span from a ring (snapshot form).  Times are absolute
-/// steady-clock seconds (same clock as pipeline::now_seconds).
-struct FlightEvent {
-    const char* cat = nullptr;
-    const char* name = nullptr;
-    RankId rank{};
-    index_t lane = 0;  ///< ring id (stable per ring, reused across threads)
-    index_t item = -1;
-    std::uint64_t bytes = 0;
-    double begin = 0.0;
-    double end = 0.0;
-};
-
 /// Absolute steady-clock seconds — the flight timebase.
 double wall_now();
 
-/// Record a completed span into the calling thread's ring.  `cat` and
-/// `name` must outlive the process (string literals, names:: constants,
-/// or intern() results).  Lock-free and allocation-free when warm.
-void record(const char* cat, const char* name, double abs_begin, double abs_end,
-            index_t item = -1, std::uint64_t bytes = 0);
-
 /// Ensure the calling thread's ring exists (the one cold path of
-/// record()).  ScopedTrace calls this at span *begin* so that a
+/// record_span()).  ScopedTrace calls this at span *begin* so that a
 /// thread's first-ever acquisition is ordered before any rendezvous the
 /// span body performs — heap-event deltas read after a collective then
 /// cannot observe a peer's late first acquisition.
 void warm();
 
-/// Return a process-lifetime pointer for `s`.  Well-known stage names
-/// ("load", "filter", "bp", "mpi", "store", "restore") resolve without
-/// locking or allocation; other strings are interned under a mutex once
-/// and cached for the process.
-const char* intern(const std::string& s);
-
-/// Decode every ring (live and retired), oldest-first within a ring.
-/// Slots overwritten while being read are dropped, not torn.
-std::vector<FlightEvent> snapshot();
+/// Decode every ring (live and retired), oldest-first within a ring, with
+/// absolute wall_now() times and lane = ring id.  Slots overwritten while
+/// being read are dropped, not torn.
+std::vector<TraceEvent> snapshot();
 
 /// Number of rings ever created (live + retired).  Test hook: a warm
 /// thread pool must not grow this.

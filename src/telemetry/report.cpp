@@ -12,20 +12,28 @@ namespace xct::telemetry::report {
 
 namespace {
 
-// The five pipeline stages in report order, with the per-rank measured
-// accessor and the matching Eqs. 13-16 aggregate of a Projection.
+// The pipeline stages in report order, with the per-rank measured
+// accessor, the matching Eqs. 13-16 aggregate of a Projection and the
+// per-batch field of BatchTimes.
 struct StageMap {
     const char* stage;
     double RankTimings::* measured;
     double perfmodel::Projection::* predicted;
+    double perfmodel::BatchTimes::* batch;
 };
 
 constexpr StageMap kStageMap[] = {
-    {"load", &RankTimings::load, &perfmodel::Projection::t_load},
-    {"filter", &RankTimings::filter, &perfmodel::Projection::t_filter},
-    {"bp", &RankTimings::bp, &perfmodel::Projection::t_bp},
-    {"reduce", &RankTimings::reduce, &perfmodel::Projection::t_reduce},
-    {"store", &RankTimings::store, &perfmodel::Projection::t_store},
+    {names::kStageLoad, &RankTimings::load, &perfmodel::Projection::t_load,
+     &perfmodel::BatchTimes::load},
+    {names::kStageFilter, &RankTimings::filter, &perfmodel::Projection::t_filter,
+     &perfmodel::BatchTimes::filter},
+    {names::kStageH2d, &RankTimings::h2d, &perfmodel::Projection::t_h2d,
+     &perfmodel::BatchTimes::h2d},
+    {names::kStageBp, &RankTimings::bp, &perfmodel::Projection::t_bp, &perfmodel::BatchTimes::bp},
+    {names::kStageReduce, &RankTimings::reduce, &perfmodel::Projection::t_reduce,
+     &perfmodel::BatchTimes::reduce},
+    {names::kStageStore, &RankTimings::store, &perfmodel::Projection::t_store,
+     &perfmodel::BatchTimes::store},
 };
 
 /// Ignore stage times below this when flagging stragglers: at micro
@@ -45,16 +53,12 @@ double ratio(double num, double den)
     return den > 0.0 ? num / den : 0.0;
 }
 
-/// Map a recorded span's stage name onto a BatchTimes field (the
-/// pipeline calls its reduce stage "mpi"; "restore" replays are not a
-/// model stage and return nullptr).
+/// Map a recorded span's stage name onto a BatchTimes field ("restore"
+/// replays are not a model stage and return nullptr).
 double perfmodel::BatchTimes::* batch_field(const std::string& stage)
 {
-    if (stage == "load") return &perfmodel::BatchTimes::load;
-    if (stage == "filter") return &perfmodel::BatchTimes::filter;
-    if (stage == "bp") return &perfmodel::BatchTimes::bp;
-    if (stage == "mpi" || stage == "reduce") return &perfmodel::BatchTimes::reduce;
-    if (stage == "store") return &perfmodel::BatchTimes::store;
+    for (const StageMap& s : kStageMap)
+        if (stage == s.stage) return s.batch;
     return nullptr;
 }
 
@@ -144,22 +148,16 @@ RunReport build(const perfmodel::RunConfig& cfg, const perfmodel::MachineParams&
     for (const RankTimings& t : ranks) {
         if (t.spans.empty()) continue;
         ++ranks_with_spans;
-        for (const SpanTiming& sp : t.spans) {
+        for (const TraceEvent& sp : t.spans) {
             if (sp.item < 0) continue;
-            double perfmodel::BatchTimes::* field = batch_field(sp.stage);
+            double perfmodel::BatchTimes::* field = batch_field(sp.name);
             if (field == nullptr) continue;
-            batch_measured[sp.item].*field += sp.seconds;
+            batch_measured[sp.item].*field += sp.end - sp.begin;
         }
     }
     for (auto& [batch, measured] : batch_measured) {
-        if (ranks_with_spans > 1) {
-            const double inv = 1.0 / static_cast<double>(ranks_with_spans);
-            measured.load *= inv;
-            measured.filter *= inv;
-            measured.bp *= inv;
-            measured.reduce *= inv;
-            measured.store *= inv;
-        }
+        const double inv = 1.0 / static_cast<double>(ranks_with_spans);
+        for (const StageMap& s : kStageMap) measured.*(s.batch) *= inv;
         BatchReport br;
         br.batch = batch;
         br.measured = measured;

@@ -31,15 +31,9 @@
 #include "core/ids.hpp"
 #include "perfmodel/model.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::telemetry::report {
-
-/// One recorded stage span, reduced to what the report needs.
-struct SpanTiming {
-    std::string stage;  ///< "load", "filter", "bp", "mpi"/"reduce", "store"
-    index_t item = -1;  ///< batch index, -1 = not batch-attributed
-    double seconds = 0.0;
-};
 
 /// One rank's measured timings (bridge POD for recon::RankStats).
 struct RankTimings {
@@ -47,13 +41,15 @@ struct RankTimings {
     GroupId group{};
     double load = 0.0;
     double filter = 0.0;
+    double h2d = 0.0;
     double bp = 0.0;
     double reduce = 0.0;
     double store = 0.0;
     double wall = 0.0;
-    std::vector<SpanTiming> spans;  ///< optional: enables per-batch rows
+    /// Optional pipeline stage spans (RankStats::spans): per-batch rows.
+    std::vector<TraceEvent> spans;
 
-    double busy() const { return load + filter + bp + reduce + store; }
+    double busy() const { return load + filter + h2d + bp + reduce + store; }
     double overlap() const { return wall > 0.0 ? busy() / wall : 0.0; }
 };
 

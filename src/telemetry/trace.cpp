@@ -27,11 +27,6 @@ void Tracer::enable()
     enabled_.store(true, std::memory_order_relaxed);
 }
 
-double Tracer::now() const
-{
-    return flight::wall_now() - epoch_;
-}
-
 index_t Tracer::lane_locked()
 {
     const auto id = std::this_thread::get_id();
@@ -42,22 +37,12 @@ index_t Tracer::lane_locked()
     return lane;
 }
 
-void Tracer::record(std::string name, std::string cat, double begin, double end, index_t item,
-                    std::uint64_t bytes)
+void Tracer::append(const char* cat, const char* name, double abs_begin, double abs_end,
+                    index_t item, std::uint64_t bytes)
 {
-    if (!enabled()) return;
     MutexLock lk(m_);
-    events_.push_back(TraceEvent{std::move(name), std::move(cat), current_rank(), lane_locked(),
-                                 item, bytes, begin, end});
-}
-
-void Tracer::record_interval_abs(std::string name, std::string cat, double abs_begin,
-                                 double abs_end, index_t item, std::uint64_t bytes)
-{
-    if (!enabled()) return;
-    MutexLock lk(m_);
-    events_.push_back(TraceEvent{std::move(name), std::move(cat), current_rank(), lane_locked(),
-                                 item, bytes, abs_begin - epoch_, abs_end - epoch_});
+    events_.push_back(TraceEvent{name, cat, current_rank(), lane_locked(), item, bytes,
+                                 abs_begin - epoch_, abs_end - epoch_});
 }
 
 std::vector<TraceEvent> Tracer::events() const
@@ -70,13 +55,6 @@ std::size_t Tracer::event_count() const
 {
     MutexLock lk(m_);
     return events_.size();
-}
-
-void Tracer::clear()
-{
-    MutexLock lk(m_);
-    events_.clear();
-    lanes_.clear();
 }
 
 Tracer& tracer()

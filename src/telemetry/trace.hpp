@@ -1,21 +1,32 @@
 #pragma once
-// Trace-span capture across every subsystem of one process.
+// Span capture across every subsystem of one process: one span type, one
+// writer.
 //
-// The tracer generalises pipeline::Timeline: named spans carry a
-// *category* (the subsystem: "pipeline", "minimpi", "sim", "io",
-// "filter"), a *rank* (the minimpi world rank, see set_current_rank) and
-// a *lane* (a small per-thread id), all against ONE process-wide epoch —
-// so a distributed run's trace shows all ranks of all groups on a single
-// timebase.  Spans are exported as Chrome trace-event JSON
-// (telemetry/export.hpp) and open directly in Perfetto / chrome://tracing
-// with pid = rank and tid = lane.
+// A span is a TraceEvent: a named interval with a *category* (the
+// subsystem: "pipeline", "minimpi", "sim", "io", "filter"), a *rank* (the
+// minimpi world rank, see set_current_rank) and a *lane* (a small
+// per-thread id).  record_span() is the only function that writes one,
+// and it writes it to up to three stores, all on the flight::wall_now()
+// clock:
 //
-// Cost model: tracing is disabled by default; the disabled path is one
-// relaxed atomic load per potential span (no clock reads, no allocation),
-// so instrumented kernels do not regress.  When enabled, recording takes
-// a mutex — acceptable at span granularity (batches, collectives,
-// transfers), which is why the instrumentation sits at those boundaries
-// and not inside per-voxel loops.
+//   * the calling thread's flight ring (telemetry/flight.hpp), always;
+//   * the process-wide tracer(), while tracing is enabled — exported as
+//     Chrome trace-event JSON (telemetry/export.hpp) that opens in
+//     Perfetto / chrome://tracing with pid = rank and tid = lane;
+//   * the thread's run log, when a RunLogScope installed one —
+//     recon::run_rank keeps one per run and builds its RankStats from it.
+//
+// The tracer and a run log are the same store class (Tracer); a run log
+// is just a second, run-scoped instance, so two concurrent runs in one
+// process never see each other's spans.
+//
+// Cost model: with tracing disabled and no run log, a span costs two
+// clock reads and one lock-free ring-slot store (< 2% on the pipeline
+// clean path, asserted by the bench flight section); the disabled checks
+// are one relaxed atomic load and one thread-local load.  The tracer and
+// a run log take a mutex per span — acceptable at span granularity
+// (batches, collectives, transfers), which is why the instrumentation sits
+// at those boundaries and not inside per-voxel loops.
 
 #include <atomic>
 #include <cstdint>
@@ -31,7 +42,8 @@
 
 namespace xct::telemetry {
 
-/// One recorded span.  Times are seconds since the tracer's epoch.
+/// One recorded span.  Times are seconds since the epoch of the store it
+/// was read from (absolute wall_now() seconds for flight::snapshot()).
 struct TraceEvent {
     std::string name;          ///< e.g. "bp", "reduce_sum", "h2d"
     std::string cat;           ///< subsystem: "pipeline", "minimpi", ...
@@ -50,37 +62,33 @@ struct TraceEvent {
 RankId current_rank();
 void set_current_rank(RankId rank);
 
-/// Span recorder.  enable() (re)sets the epoch and clears prior events.
+/// Write one completed span, given absolute flight::wall_now() times, to
+/// the calling thread's flight ring, to tracer() when it is enabled, and
+/// to the thread's run log when one is installed.  `cat` and `name` must
+/// be process-lifetime strings (literals / names:: constants): the ring
+/// stores the pointers.
+void record_span(const char* cat, const char* name, double abs_begin, double abs_end,
+                 index_t item = -1, std::uint64_t bytes = 0);
+
+/// A span store: the process-wide tracer, or one run's log.  enable()
+/// (re)sets the epoch and clears prior events; only record_span() appends.
 class Tracer {
 public:
     void enable();
     void disable() { enabled_.store(false, std::memory_order_relaxed); }
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-    /// Seconds since the epoch (meaningless while disabled).
-    double now() const;
-
-    /// Record a span given epoch-relative times.  rank defaults to
-    /// current_rank(); the lane is derived from the calling thread.
-    void record(std::string name, std::string cat, double begin, double end, index_t item = -1,
-                std::uint64_t bytes = 0);
-
-    /// Record a span given *absolute* pipeline::now_seconds() times —
-    /// used by recorders with their own epoch (pipeline::Timeline).
-    void record_interval_abs(std::string name, std::string cat, double abs_begin, double abs_end,
-                             index_t item = -1, std::uint64_t bytes = 0);
-
     std::vector<TraceEvent> events() const;
     std::size_t event_count() const;
-    void clear();
 
 private:
+    friend void record_span(const char*, const char*, double, double, index_t, std::uint64_t);
+    void append(const char* cat, const char* name, double abs_begin, double abs_end,
+                index_t item, std::uint64_t bytes);
+
     std::atomic<bool> enabled_{false};
-    // Written by enable() under m_, read lock-free by now(): callers only
-    // consume now() while enabled, and enable() happens-before via the
-    // enabled_ store/load pair.
-    double epoch_ = 0.0;  ///< absolute seconds (pipeline::now_seconds base)
     mutable Mutex m_{"telemetry.trace"};
+    double epoch_ XCT_GUARDED_BY(m_) = 0.0;  ///< absolute wall_now() seconds
     std::vector<TraceEvent> events_ XCT_GUARDED_BY(m_);
     std::unordered_map<std::thread::id, index_t> lanes_ XCT_GUARDED_BY(m_);
 
@@ -90,28 +98,28 @@ private:
 /// The process-wide tracer every subsystem feeds.
 Tracer& tracer();
 
-/// RAII span against the global tracer AND the always-on flight
-/// recorder (telemetry/flight.hpp).  With tracing disabled the cost is
-/// one clock read plus a lock-free ring-slot store per end of the span
-/// (< 2% on the pipeline clean path, asserted by the bench overhead
-/// section); when enabled, the tracer additionally records the span on
-/// its own timebase.  `cat` and `name` must be process-lifetime strings
-/// (literals / names:: constants) — the flight ring stores the pointers.
+/// Installs `log` as the calling thread's run log for the scope's
+/// lifetime, restoring the previous one (usually none) on exit.
+class RunLogScope {
+public:
+    explicit RunLogScope(Tracer& log);
+    ~RunLogScope();
+    RunLogScope(const RunLogScope&) = delete;
+    RunLogScope& operator=(const RunLogScope&) = delete;
+
+private:
+    Tracer* prev_;
+};
+
+/// RAII span: record_span() over [construction, destruction).
 class ScopedTrace {
 public:
     ScopedTrace(const char* cat, const char* name, index_t item = -1, std::uint64_t bytes = 0)
-        : cat_(cat), name_(name), item_(item), bytes_(bytes), traced_(tracer().enabled()),
-          begin_abs_(flight::wall_now())
+        : cat_(cat), name_(name), item_(item), bytes_(bytes), begin_(flight::wall_now())
     {
         flight::warm();  // first span on a thread acquires its ring HERE
     }
-    ~ScopedTrace()
-    {
-        const double end_abs = flight::wall_now();
-        flight::record(cat_, name_, begin_abs_, end_abs, item_, bytes_);
-        if (traced_ && tracer().enabled())
-            tracer().record_interval_abs(name_, cat_, begin_abs_, end_abs, item_, bytes_);
-    }
+    ~ScopedTrace() { record_span(cat_, name_, begin_, flight::wall_now(), item_, bytes_); }
     ScopedTrace(const ScopedTrace&) = delete;
     ScopedTrace& operator=(const ScopedTrace&) = delete;
 
@@ -120,8 +128,7 @@ private:
     const char* name_;
     index_t item_;
     std::uint64_t bytes_;
-    bool traced_;  ///< tracer was enabled at span begin (skip straddlers)
-    double begin_abs_;
+    double begin_;
 };
 
 }  // namespace xct::telemetry

@@ -21,9 +21,9 @@ struct Watchdog {
 };
 
 inline long corrupt(const char*, char*) { return 0; }
-inline void record(const char*, const char*, double, double) {}
+inline void record_span(const char*, const char*, double, double) {}
 
-inline void record(Registry& reg)
+inline void emit(Registry& reg)
 {
     reg.counter("bogus.metric").add(1);             // LINT: names
     reg.gauge("made.up.gauge").add(2);              // LINT: names
@@ -31,7 +31,7 @@ inline void record(Registry& reg)
     corrupt("phantom.site", nullptr);               // LINT: names
     Watchdog wd;
     wd.supervise("no.such.section", [] {});         // LINT: names
-    record("bogus.flightspan", nullptr, 0.0, 1.0);  // LINT: names
+    record_span("nocategory", "bogus.span", 0.0, 1.0);  // LINT: names names
     reg.counter("soak.bogus.jobs").add(1);          // LINT: names
     corrupt("serve.unregistered.site", nullptr);    // LINT: names
     reg.counter("serve.bogus.rejections").add(1);   // LINT: names

@@ -3,6 +3,7 @@
 // correctness bar: <= 1e-5 against the reference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -10,6 +11,8 @@
 
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/flight.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::recon {
 namespace {
@@ -204,6 +207,42 @@ TEST(Distributed, PerRankStatsReported)
     for (const auto& s : r.ranks)
         if (s.t_store > 0.0) ++stores;
     EXPECT_EQ(stores, 2);
+}
+
+TEST(Distributed, UntracedRunLeavesTransferSpansInTheFlightRings)
+{
+    // With tracing off, the always-on flight rings still hold the device
+    // and PFS transfers next to the stage spans: a post-mortem shows
+    // every layer of the run, not only its pipeline stages.
+    ASSERT_FALSE(telemetry::tracer().enabled());
+    const CbctGeometry g = geo(24, 36);
+    const auto ph = make_phantom(g);
+    const auto dir = std::filesystem::temp_directory_path() / "xct_dist_flight_test";
+    std::filesystem::remove_all(dir);
+    io::Pfs pfs(dir, 10.0, 10.0);
+    {
+        PhantomSource gen(ph, g);
+        pfs.store_stack("proj.xstk", gen.load(Range{0, g.num_proj}, Range{0, g.nv}));
+    }
+    DistributedConfig cfg;
+    cfg.geometry = g;
+    cfg.layout = GroupLayout{1, 1};
+    cfg.batches = 3;
+    reconstruct_distributed(
+        cfg, [&](RankId) { return std::make_unique<PfsSource>(pfs, "proj.xstk"); }, &pfs);
+    std::filesystem::remove_all(dir);
+
+    const auto events = telemetry::flight::snapshot();
+    const auto has = [&](const char* cat, const char* name) {
+        return std::any_of(events.begin(), events.end(), [&](const telemetry::TraceEvent& e) {
+            return e.cat == cat && e.name == name;
+        });
+    };
+    EXPECT_TRUE(has("sim", "h2d"));
+    EXPECT_TRUE(has("sim", "d2h"));
+    EXPECT_TRUE(has("io", "pfs.load"));
+    EXPECT_TRUE(has("io", "pfs.store"));
+    EXPECT_TRUE(has("pipeline", "h2d"));
 }
 
 TEST(Distributed, ViewShareShrinksPerRankH2dTraffic)

@@ -1,10 +1,17 @@
 // End-to-end FDK reconstruction tests (single node): quality against the
-// analytic phantom, out-of-core == in-core, threaded == sequential, and
-// the preprocessing (raw counts) path.
+// analytic phantom, out-of-core == in-core, threaded == sequential, the
+// preprocessing (raw counts) path, and the stage spans a run records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <thread>
+
+#include "core/names.hpp"
 #include "io/datasets.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::recon {
 namespace {
@@ -176,6 +183,7 @@ TEST(Fdk, StatsReportEveryPipelineStage)
     const FdkResult r = reconstruct_fdk(cfg, src);
     EXPECT_GT(r.stats.t_load, 0.0);
     EXPECT_GT(r.stats.t_filter, 0.0);
+    EXPECT_GT(r.stats.t_h2d, 0.0);
     EXPECT_GT(r.stats.t_bp, 0.0);
     EXPECT_GT(r.stats.t_store, 0.0);
     EXPECT_GT(r.stats.wall, 0.0);
@@ -253,6 +261,103 @@ TEST(Fdk, PaperDatasetGeometryReconstructs)
     const FdkResult r = reconstruct_fdk(g, phantom);
     const Volume truth = phantom::voxelize(phantom, g);
     EXPECT_LT(rmse_flat(r.volume, truth, 6), 0.08);
+}
+
+/// The six stage names a batch passes through, in pipeline order.
+constexpr const char* kBatchStages[] = {names::kStageLoad, names::kStageFilter,
+                                        names::kStageH2d,  names::kStageBp,
+                                        names::kStageReduce, names::kStageStore};
+
+TEST(Fdk, ConcurrentRunsRecordOnlyTheirOwnSpans)
+{
+    // Two runs at once on two threads: each run's log holds exactly its
+    // own batches — one span per stage per batch — and none of the other's.
+    const CbctGeometry g = geo(24, 32);
+    const auto phantom = phantom::shepp_logan_3d(g.dx * 10.0);
+    FdkResult r3, r5;
+    const auto run = [&](index_t batches, FdkResult& out) {
+        PhantomSource src(phantom, g);
+        RankConfig cfg;
+        cfg.geometry = g;
+        cfg.batches = batches;
+        out = reconstruct_fdk(cfg, src);
+    };
+    std::thread a(run, 3, std::ref(r3));
+    std::thread b(run, 5, std::ref(r5));
+    a.join();
+    b.join();
+    for (const auto& [r, n] : {std::pair<const FdkResult*, index_t>{&r3, 3}, {&r5, 5}}) {
+        std::map<std::string, std::vector<index_t>> items;
+        for (const telemetry::TraceEvent& e : r->stats.spans) {
+            EXPECT_EQ(e.cat, names::kCatPipeline);
+            items[e.name].push_back(e.item);
+        }
+        EXPECT_EQ(r->stats.spans.size(), static_cast<std::size_t>(6 * n)) << n << " batches";
+        for (const char* stage : kBatchStages) {
+            std::vector<index_t>& got = items[stage];
+            std::sort(got.begin(), got.end());
+            std::vector<index_t> want(static_cast<std::size_t>(n));
+            for (index_t i = 0; i < n; ++i) want[static_cast<std::size_t>(i)] = i;
+            EXPECT_EQ(got, want) << stage << " with " << n << " batches";
+        }
+    }
+}
+
+TEST(Fdk, InOrderPathRecordsEachStageOncePerBatchInOrder)
+{
+    const CbctGeometry g = geo(24, 32);
+    const auto phantom = phantom::shepp_logan_3d(g.dx * 10.0);
+    PhantomSource src(phantom, g);
+    RankConfig cfg;
+    cfg.geometry = g;
+    cfg.batches = 4;
+    cfg.threaded = false;
+    const FdkResult r = reconstruct_fdk(cfg, src);
+    const auto& spans = r.stats.spans;
+    ASSERT_EQ(spans.size(), 4u * 6u);
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+        EXPECT_EQ(spans[k].name, kBatchStages[k % 6]) << "span " << k;
+        EXPECT_EQ(spans[k].item, static_cast<index_t>(k / 6)) << "span " << k;
+        EXPECT_LE(spans[k].begin, spans[k].end) << "span " << k;
+        if (k > 0) {
+            EXPECT_LE(spans[k - 1].end, spans[k].begin) << "span " << k << " overlaps";
+        }
+    }
+}
+
+TEST(Tracer, TimelineForwardsSpansOnOneTimebase)
+{
+    // A run's stage spans reach the process tracer as the same spans
+    // shifted by one constant (the tracer's epoch predates the run's), and
+    // the run feeds pipeline.stage.<stage>.{seconds,spans} once, from its log.
+    telemetry::registry().reset();
+    telemetry::tracer().enable();
+    const CbctGeometry g = geo(24, 32);
+    const auto phantom = phantom::shepp_logan_3d(g.dx * 10.0);
+    PhantomSource src(phantom, g);
+    RankConfig cfg;
+    cfg.geometry = g;
+    cfg.batches = 4;
+    const FdkResult r = reconstruct_fdk(cfg, src);
+    telemetry::tracer().disable();
+
+    std::map<std::pair<std::string, index_t>, telemetry::TraceEvent> traced;
+    for (const telemetry::TraceEvent& e : telemetry::tracer().events())
+        if (e.cat == names::kCatPipeline) traced[{e.name, e.item}] = e;
+    ASSERT_EQ(traced.size(), r.stats.spans.size());
+    const telemetry::TraceEvent& first = r.stats.spans.front();
+    const double shift = traced.at({first.name, first.item}).begin - first.begin;
+    EXPECT_GE(shift, 0.0);
+    for (const telemetry::TraceEvent& s : r.stats.spans) {
+        const auto it = traced.find({s.name, s.item});
+        ASSERT_NE(it, traced.end()) << s.name << " " << s.item;
+        EXPECT_NEAR(it->second.begin - s.begin, shift, 1e-9) << s.name << " " << s.item;
+        EXPECT_NEAR(it->second.end - s.end, shift, 1e-9) << s.name << " " << s.item;
+    }
+    EXPECT_DOUBLE_EQ(telemetry::registry().gauge("pipeline.stage.bp.seconds").value(),
+                     r.stats.t_bp);
+    EXPECT_EQ(telemetry::registry().counter("pipeline.stage.bp.spans").value(), 4u);
+    EXPECT_EQ(telemetry::registry().counter("pipeline.stage.h2d.spans").value(), 4u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Flight-recorder tests: ring wraparound, allocation-free warm recording,
-// snapshot integrity under concurrent writers, name interning, ring reuse
-// across thread lifetimes, and the post-mortem dump paths (manual,
-// watchdog-tripped via an injected rank stall, and budget/armed gating).
+// snapshot integrity under concurrent writers, ring reuse across thread
+// lifetimes, and the post-mortem dump paths (manual, watchdog-tripped via
+// an injected rank stall, and budget/armed gating).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "integrity/watchdog.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::telemetry::flight {
 namespace {
@@ -26,7 +27,7 @@ namespace {
 void record_now(const char* name, index_t item = -1, std::uint64_t bytes = 0)
 {
     const double end = wall_now();
-    record("test", name, end - 1e-6, end, item, bytes);
+    record_span("test", name, end - 1e-6, end, item, bytes);
 }
 
 std::string slurp(const std::filesystem::path& p)
@@ -55,7 +56,7 @@ TEST(Flight, RecordedSpansAppearInSnapshot)
     record_now(kName, 7, 128);
     const auto events = snapshot();
     const auto it = std::find_if(events.begin(), events.end(),
-                                 [](const FlightEvent& e) { return e.name == kName; });
+                                 [](const TraceEvent& e) { return e.name == kName; });
     ASSERT_NE(it, events.end());
     EXPECT_EQ(it->item, 7);
     EXPECT_EQ(it->bytes, 128u);
@@ -70,7 +71,7 @@ TEST(Flight, RingWrapsKeepingTheMostRecentSpans)
         record_now(kName, static_cast<index_t>(i));
     const auto events = snapshot();
     std::vector<index_t> items;
-    for (const FlightEvent& e : events)
+    for (const TraceEvent& e : events)
         if (e.name == kName) items.push_back(e.item);
     ASSERT_FALSE(items.empty());
     EXPECT_LE(items.size(), kRingCapacity);
@@ -98,20 +99,6 @@ TEST(Flight, TotalRecordsIsMonotonic)
     EXPECT_GE(total_records(), r0 + 32);
 }
 
-TEST(Flight, InternReturnsStablePointers)
-{
-    // Well-known pipeline stage names resolve to the same pointer every
-    // time (the lock-free path)...
-    EXPECT_EQ(intern("load"), intern("load"));
-    EXPECT_EQ(intern("bp"), intern("bp"));
-    // ...and dynamic names intern once: second lookup allocates nothing.
-    const char* first = intern("flight.test.dynamic-name");
-    const std::uint64_t e0 = scratch::heap_events();
-    EXPECT_EQ(intern("flight.test.dynamic-name"), first);
-    EXPECT_EQ(scratch::heap_events() - e0, 0u);
-    EXPECT_STREQ(first, "flight.test.dynamic-name");
-}
-
 TEST(Flight, ExitedThreadsRingIsReusedNotLeaked)
 {
     const auto run_thread = [] {
@@ -134,12 +121,12 @@ TEST(Flight, SnapshotIsCleanUnderConcurrentWriters)
             std::uint64_t i = 0;
             while (!stop.load(std::memory_order_relaxed)) {
                 const double b = 1000.0 * t + static_cast<double>(i);
-                record("test", "flight.test.torn", b, b + 0.5, static_cast<index_t>(t));
+                record_span("test", "flight.test.torn", b, b + 0.5, static_cast<index_t>(t));
                 ++i;
             }
         });
     for (int pass = 0; pass < 50; ++pass) {
-        for (const FlightEvent& e : snapshot()) {
+        for (const TraceEvent& e : snapshot()) {
             if (std::string_view(e.name) != "flight.test.torn") continue;
             // begin/end written as a pair: a torn slot would pair a begin
             // from one write with the end of another.

@@ -182,11 +182,11 @@ TEST(SimulateSpans, ConsecutiveBatchesOverlapAcrossStages)
     const auto spans = simulate_spans(cfg_for("tomo_00029", 1024, 1, 1), m);
     double bp1_begin = 0.0, load2_begin = 0.0, bp1_end = 0.0;
     for (const auto& s : spans) {
-        if (s.stage == "bp" && s.batch == 1) {
+        if (s.name == "bp" && s.item == 1) {
             bp1_begin = s.begin;
             bp1_end = s.end;
         }
-        if (s.stage == "load" && s.batch == 2) load2_begin = s.begin;
+        if (s.name == "load" && s.item == 2) load2_begin = s.begin;
     }
     EXPECT_LT(load2_begin, bp1_end);  // overlap exists
     EXPECT_GE(load2_begin, 0.0);

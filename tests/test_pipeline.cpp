@@ -1,12 +1,10 @@
-// Pipeline plumbing tests: bounded queues and the Fig. 10 timeline
-// recorder.
+// Pipeline plumbing tests: the bounded stage queues.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
 #include <thread>
 
 #include "pipeline/queue.hpp"
-#include "pipeline/timeline.hpp"
 
 namespace xct::pipeline {
 namespace {
@@ -182,117 +180,6 @@ TEST(BoundedQueue, MoveOnlyItems)
     auto v = q.pop();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(**v, 42);
-}
-
-TEST(Timeline, RecordsAndAggregates)
-{
-    Timeline tl;
-    tl.record("load", 0, 0.0, 1.0);
-    tl.record("load", 1, 2.0, 2.5);
-    tl.record("bp", 0, 1.0, 3.0);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("load"), 1.5);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("bp"), 2.0);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("absent"), 0.0);
-    EXPECT_DOUBLE_EQ(tl.makespan(), 3.0);
-}
-
-TEST(Timeline, OverlapFactorMeasuresConcurrency)
-{
-    Timeline tl;
-    // Two stages fully overlapped: busy 2.0 over makespan 1.0.
-    tl.record("a", 0, 0.0, 1.0);
-    tl.record("b", 0, 0.0, 1.0);
-    EXPECT_DOUBLE_EQ(tl.overlap_factor(), 2.0);
-}
-
-TEST(Timeline, RenderShowsEveryStageRow)
-{
-    Timeline tl;
-    tl.record("load", 0, 0.0, 0.5);
-    tl.record("store", 0, 0.5, 1.0);
-    const std::string chart = tl.render(40);
-    EXPECT_NE(chart.find("load"), std::string::npos);
-    EXPECT_NE(chart.find("store"), std::string::npos);
-    EXPECT_NE(chart.find('#'), std::string::npos);
-}
-
-/// The busy row between the two '|' bars for a named stage, or "" when
-/// the stage row is missing.
-std::string render_row(const std::string& chart, const std::string& stage)
-{
-    std::istringstream in(chart);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind(stage, 0) != 0) continue;
-        const auto l = line.find('|');
-        const auto r = line.rfind('|');
-        if (l == std::string::npos || r <= l) return "";
-        return line.substr(l + 1, r - l - 1);
-    }
-    return "";
-}
-
-TEST(Timeline, RenderNeverDropsShortSpans)
-{
-    // Quantisation regression: spans far narrower than one column — or
-    // fully degenerate — must still mark at least one '#'.
-    Timeline tl;
-    tl.record("bp", 0, 0.0, 10.0);
-    tl.record("store", 0, 5.0, 5.0000001);  // ~1/4000000 of a column
-    tl.record("load", 0, 10.0, 10.0);       // zero-length at the right edge
-    const std::string chart = tl.render(40);
-    for (const char* stage : {"bp", "store", "load"}) {
-        const std::string row = render_row(chart, stage);
-        ASSERT_EQ(row.size(), 40u) << stage;
-        EXPECT_NE(row.find('#'), std::string::npos) << stage;
-    }
-}
-
-TEST(Timeline, RenderDoesNotBleedPastSpanEnd)
-{
-    // Half-open mapping: back-to-back spans split the chart exactly, the
-    // first one not spilling into the column where the second begins.
-    Timeline tl;
-    tl.record("a", 0, 0.0, 0.5);
-    tl.record("b", 0, 0.5, 1.0);
-    const std::string chart = tl.render(40);
-    EXPECT_EQ(render_row(chart, "a"), std::string(20, '#') + std::string(20, '.'));
-    EXPECT_EQ(render_row(chart, "b"), std::string(20, '.') + std::string(20, '#'));
-}
-
-TEST(Timeline, EmptyRenders)
-{
-    Timeline tl;
-    EXPECT_EQ(tl.render(), "(empty timeline)\n");
-    EXPECT_DOUBLE_EQ(tl.overlap_factor(), 0.0);
-}
-
-TEST(ScopedSpan, RecordsEnclosedInterval)
-{
-    Timeline tl;
-    {
-        ScopedSpan s(tl, "work", 3);
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    const auto spans = tl.spans();
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].stage, "work");
-    EXPECT_EQ(spans[0].item, 3);
-    EXPECT_GE(spans[0].end - spans[0].begin, 0.004);
-}
-
-TEST(Timeline, ThreadSafeRecording)
-{
-    Timeline tl;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t)
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < 100; ++i)
-                tl.record("s" + std::to_string(t), i, static_cast<double>(i),
-                          static_cast<double>(i) + 0.5);
-        });
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(tl.spans().size(), 400u);
 }
 
 }  // namespace

@@ -35,12 +35,19 @@ perfmodel::RunConfig small_cfg()
     return cfg;
 }
 
+/// A pipeline stage span of `seconds` for batch `item`.
+TraceEvent span(const char* stage, index_t item, double seconds)
+{
+    return TraceEvent{stage, "pipeline", RankId{}, 0, item, 0, 0.0, seconds};
+}
+
 RankTimings plain_rank(index_t rank, double scale = 1.0)
 {
     RankTimings t;
     t.rank = RankId{rank};
     t.load = 0.10 * scale;
     t.filter = 0.20 * scale;
+    t.h2d = 0.02 * scale;
     t.bp = 0.40 * scale;
     t.reduce = 0.05 * scale;
     t.store = 0.05 * scale;
@@ -52,9 +59,9 @@ TEST(Report, BuildJoinsEveryStageAgainstTheModel)
 {
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{},
                               {plain_rank(0), plain_rank(1), plain_rank(2)});
-    ASSERT_EQ(r.stages.size(), 5u);
-    const char* expected[] = {"load", "filter", "bp", "reduce", "store"};
-    for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(r.stages.size(), 6u);
+    const char* expected[] = {"load", "filter", "h2d", "bp", "reduce", "store"};
+    for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(r.stages[i].stage, expected[i]);
         EXPECT_GT(r.stages[i].measured_s, 0.0);
         EXPECT_GT(r.stages[i].predicted_s, 0.0);
@@ -77,7 +84,7 @@ TEST(Report, StageMedianIsRobustToOneStraggler)
     // not drag the fleet baseline it is judged against.
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{},
                               {plain_rank(0), plain_rank(1), plain_rank(2, 10.0)});
-    EXPECT_DOUBLE_EQ(r.stages[2].measured_s, 0.40);  // bp
+    EXPECT_DOUBLE_EQ(r.stages[3].measured_s, 0.40);  // bp
 }
 
 TEST(Report, StragglerRanksAreFlaggedPerStage)
@@ -105,15 +112,17 @@ TEST(Report, TimerNoiseBelowTheFloorIsNotAStraggler)
 TEST(Report, BatchRowsSumSpansAndAverageAcrossRanks)
 {
     std::vector<RankTimings> ranks = {plain_rank(0), plain_rank(1)};
-    // Two ranks, batch 0: bp spans of 0.4 and 0.2 -> mean 0.3; the
-    // pipeline's "mpi" stage maps onto the model's reduce field.
-    ranks[0].spans = {{"bp", 0, 0.4}, {"mpi", 0, 0.1}, {"restore", 0, 9.0}, {"load", -1, 9.0}};
-    ranks[1].spans = {{"bp", 0, 0.2}, {"mpi", 0, 0.3}, {"bp", 1, 0.5}};
+    // Two ranks, batch 0: bp spans of 0.4 and 0.2 -> mean 0.3; each
+    // stage span lands in the model's field of the same name.
+    ranks[0].spans = {span("bp", 0, 0.4), span("reduce", 0, 0.1), span("h2d", 0, 0.06),
+                      span("restore", 0, 9.0), span("load", -1, 9.0)};
+    ranks[1].spans = {span("bp", 0, 0.2), span("reduce", 0, 0.3), span("bp", 1, 0.5)};
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{}, ranks);
     ASSERT_EQ(r.batches.size(), 2u);
     EXPECT_EQ(r.batches[0].batch, 0);
     EXPECT_DOUBLE_EQ(r.batches[0].measured.bp, 0.3);
     EXPECT_DOUBLE_EQ(r.batches[0].measured.reduce, 0.2);
+    EXPECT_DOUBLE_EQ(r.batches[0].measured.h2d, 0.03);
     EXPECT_DOUBLE_EQ(r.batches[0].measured.load, 0.0);  // item -1 dropped
     EXPECT_EQ(r.batches[1].batch, 1);
     EXPECT_DOUBLE_EQ(r.batches[1].measured.bp, 0.25);  // 0.5 over 2 ranks
@@ -146,7 +155,7 @@ TEST(Report, FleetObserveFeedsPercentiles)
 TEST(Report, WriteJsonEmitsTypedSchema)
 {
     std::vector<RankTimings> ranks = {plain_rank(0), plain_rank(1), plain_rank(2, 10.0)};
-    ranks[0].spans = {{"bp", 0, 0.4}};
+    ranks[0].spans = {span("bp", 0, 0.4)};
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{}, ranks);
     std::ostringstream os;
     write_json(os, r);

@@ -1,14 +1,15 @@
 // Telemetry-core tests: concurrent instrument updates, snapshot
-// determinism, merge semantics, tracer span capture with rank/lane
-// attribution, Timeline forwarding, and the Chrome-trace / CSV exporters.
+// determinism, merge semantics, tracer and run-log span capture with
+// rank/lane attribution, the Chrome-trace / CSV exporters and the Fig. 10
+// timeline render.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <thread>
 
-#include "pipeline/timeline.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -220,10 +221,10 @@ TEST(FleetObserve, FillsLogBucketedStageHistograms)
 TEST(Tracer, DisabledRecordsNothing)
 {
     TracerOff off;
+    tracer().enable();  // clears prior events
     tracer().disable();
-    tracer().clear();
     { ScopedTrace t("test", "noop"); }
-    tracer().record("direct", "test", 0.0, 1.0);
+    record_span("test", "direct", 0.0, 1.0);
     EXPECT_EQ(tracer().event_count(), 0u);
 }
 
@@ -270,24 +271,40 @@ TEST(Tracer, RankAndLaneAttribution)
     EXPECT_NE(events[0].lane, events[1].lane);  // distinct live threads, distinct lanes
 }
 
-TEST(Tracer, TimelineForwardsSpansOnOneTimebase)
+TEST(RunLog, ScopedTraceRecordsEnclosedInterval)
 {
-    TracerOff off;
-    tracer().enable();
-    registry().reset();
-    pipeline::Timeline tl;
-    tl.record("bp", 2, 0.125, 0.5);  // epoch-relative to the Timeline
-    const auto events = tracer().events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].name, "bp");
-    EXPECT_EQ(events[0].cat, "pipeline");
-    EXPECT_EQ(events[0].item, 2);
-    // The tracer's epoch predates the Timeline's, so the absolute span
-    // lands at >= the Timeline-relative begin, with the length preserved.
-    EXPECT_GE(events[0].begin, 0.125);
-    EXPECT_NEAR(events[0].end - events[0].begin, 0.375, 1e-9);
-    EXPECT_DOUBLE_EQ(registry().gauge("pipeline.stage.bp.seconds").value(), 0.375);
-    EXPECT_EQ(registry().counter("pipeline.stage.bp.spans").value(), 1u);
+    Tracer log;
+    log.enable();
+    {
+        const RunLogScope in_log(log);
+        ScopedTrace s("test", "work", 3);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    { ScopedTrace after("test", "outside"); }  // scope closed: not in the log
+    const auto spans = log.events();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].name, "work");
+    EXPECT_EQ(spans[0].item, 3);
+    EXPECT_GE(spans[0].begin, 0.0);  // run-relative: after the log's epoch
+    EXPECT_GE(spans[0].end - spans[0].begin, 0.004);
+}
+
+TEST(Timeline, ThreadSafeRecording)
+{
+    // Four threads share one run log, as a rank's stage threads do.
+    Tracer log;
+    log.enable();
+    static const char* const kNames[4] = {"s0", "s1", "s2", "s3"};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            const RunLogScope in_log(log);
+            for (int i = 0; i < 100; ++i)
+                record_span("test", kNames[t], static_cast<double>(i),
+                            static_cast<double>(i) + 0.5, i);
+        });
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(log.event_count(), 400u);
 }
 
 /// Minimal structural JSON check: balanced braces/brackets outside
@@ -396,6 +413,65 @@ TEST(Export, MetricsJsonIsWellFormed)
     write_metrics_json(os, s);
     EXPECT_TRUE(json_well_formed(os.str()));
     EXPECT_NE(os.str().find("\"a.b\": 1"), std::string::npos);
+}
+
+TraceEvent span(const char* name, double begin, double end)
+{
+    return TraceEvent{name, "pipeline", RankId{}, 0, 0, 0, begin, end};
+}
+
+/// The busy row between the two '|' bars for a named stage, or "" when
+/// the stage row is missing.
+std::string render_row(const std::string& chart, const std::string& stage)
+{
+    std::istringstream in(chart);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(stage, 0) != 0) continue;
+        const auto l = line.find('|');
+        const auto r = line.rfind('|');
+        if (l == std::string::npos || r <= l) return "";
+        return line.substr(l + 1, r - l - 1);
+    }
+    return "";
+}
+
+TEST(Timeline, RenderShowsEveryStageRow)
+{
+    const std::string chart =
+        render_timeline({span("load", 0.0, 0.5), span("store", 0.5, 1.0)}, 40);
+    EXPECT_NE(chart.find("load"), std::string::npos);
+    EXPECT_NE(chart.find("store"), std::string::npos);
+    EXPECT_NE(chart.find('#'), std::string::npos);
+}
+
+TEST(Timeline, RenderNeverDropsShortSpans)
+{
+    // Quantisation regression: spans far narrower than one column — or
+    // fully degenerate — must still mark at least one '#'.
+    const std::string chart = render_timeline({span("bp", 0.0, 10.0),
+                                               span("store", 5.0, 5.0000001),  // ~1/4e6 column
+                                               span("load", 10.0, 10.0)},  // zero-length, right edge
+                                              40);
+    for (const char* stage : {"bp", "store", "load"}) {
+        const std::string row = render_row(chart, stage);
+        ASSERT_EQ(row.size(), 40u) << stage;
+        EXPECT_NE(row.find('#'), std::string::npos) << stage;
+    }
+}
+
+TEST(Timeline, RenderDoesNotBleedPastSpanEnd)
+{
+    // Half-open mapping: back-to-back spans split the chart exactly, the
+    // first one not spilling into the column where the second begins.
+    const std::string chart = render_timeline({span("a", 0.0, 0.5), span("b", 0.5, 1.0)}, 40);
+    EXPECT_EQ(render_row(chart, "a"), std::string(20, '#') + std::string(20, '.'));
+    EXPECT_EQ(render_row(chart, "b"), std::string(20, '.') + std::string(20, '#'));
+}
+
+TEST(Timeline, EmptyRenders)
+{
+    EXPECT_EQ(render_timeline({}), "(empty timeline)\n");
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-# Validates the --trace / --metrics / --report outputs of the
-# tools_recon_trace run (cmake -DTRACE=... -DMETRICS=... -DREPORT=... -P
-# check_trace.cmake): the Chrome trace must contain spans from several
-# subsystems attributed to more than one rank, the metrics CSV must carry
-# the expected counters, and the run report must join measured stage
-# times against the perfmodel with per-rank efficiency rows.
-foreach(var TRACE METRICS REPORT)
+# Validates the --trace / --metrics / --report / --flight-dump outputs of
+# the tools_recon_trace run (cmake -DTRACE=... -DMETRICS=... -DREPORT=...
+# -DFLIGHT=... -P check_trace.cmake): the Chrome trace must contain spans
+# from several subsystems attributed to more than one rank, the metrics CSV
+# must carry the expected counters, the run report must join measured
+# stage times against the perfmodel with per-rank efficiency rows, and the
+# always-on flight rings must hold the device-transfer spans too.
+foreach(var TRACE METRICS REPORT FLIGHT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_trace.cmake: -D${var}=<path> is required")
   endif()
@@ -41,7 +42,7 @@ if(NOT report MATCHES "\"schema\": \"xct.report.v1\"")
   message(FATAL_ERROR "${REPORT}: missing report schema marker")
 endif()
 # Every pipeline stage appears as a measured-vs-predicted join.
-foreach(stage load filter bp reduce store)
+foreach(stage load filter h2d bp reduce store)
   if(NOT report MATCHES "{\"stage\": \"${stage}\", \"measured_s\": ")
     message(FATAL_ERROR "${REPORT}: missing stage row for ${stage}")
   endif()
@@ -60,4 +61,11 @@ endforeach()
 if(NOT report MATCHES "\"p99_s\"")
   message(FATAL_ERROR "${REPORT}: missing fleet percentiles")
 endif()
-message(STATUS "trace, metrics and report outputs look well-formed")
+
+file(READ ${FLIGHT} flight)
+foreach(cat pipeline sim)
+  if(NOT flight MATCHES "\"cat\":\"${cat}\"")
+    message(FATAL_ERROR "${FLIGHT}: missing ${cat} spans in the flight dump")
+  endif()
+endforeach()
+message(STATUS "trace, metrics, report and flight outputs look well-formed")

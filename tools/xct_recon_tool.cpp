@@ -171,13 +171,12 @@ int main(int argc, char** argv)
         t.group = group;
         t.load = st.t_load;
         t.filter = st.t_filter;
+        t.h2d = st.t_h2d;
         t.bp = st.t_bp;
         t.reduce = st.t_reduce;
         t.store = st.t_store;
         t.wall = st.wall;
-        t.spans.reserve(st.spans.size());
-        for (const auto& sp : st.spans)
-            t.spans.push_back({sp.stage, sp.item, sp.end - sp.begin});
+        t.spans = st.spans;
         return t;
     };
 
@@ -269,9 +268,9 @@ int main(int argc, char** argv)
             cfg.checkpoint = recon::CheckpointConfig{args.get("checkpoint-dir"), -1};
         const recon::FdkResult r = recon::reconstruct_fdk(cfg, src);
         volume = r.volume;
-        std::printf("stages: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n",
-                    r.stats.t_load, r.stats.t_filter, r.stats.t_bp, r.stats.t_store,
-                    r.stats.wall);
+        std::printf("stages: load %.3f filter %.3f h2d %.3f bp %.3f store %.3f | wall %.3f s\n",
+                    r.stats.t_load, r.stats.t_filter, r.stats.t_h2d, r.stats.t_bp,
+                    r.stats.t_store, r.stats.wall);
         if (args.is_set("report")) {
             const telemetry::report::RankTimings t = to_timings(r.stats, RankId{0}, GroupId{0});
             telemetry::report::observe_fleet(t);  // single-rank fleet of one
@@ -301,11 +300,11 @@ int main(int argc, char** argv)
                         static_cast<long long>(d.value()));
         for (RankId rank{0}; rank.value() < ng * nr; ++rank) {
             const recon::RankStats& st = r.ranks[static_cast<std::size_t>(rank.value())];
-            std::printf("rank %lld (group %lld): load %.3f filter %.3f bp %.3f reduce %.3f "
-                        "store %.3f | wall %.3f s overlap %.2f\n",
+            std::printf("rank %lld (group %lld): load %.3f filter %.3f h2d %.3f bp %.3f "
+                        "reduce %.3f store %.3f | wall %.3f s overlap %.2f\n",
                         static_cast<long long>(rank.value()),
                         static_cast<long long>(cfg.layout.group_of(rank).value()), st.t_load,
-                        st.t_filter, st.t_bp, st.t_reduce, st.t_store, st.wall,
+                        st.t_filter, st.t_h2d, st.t_bp, st.t_reduce, st.t_store, st.wall,
                         st.overlap_factor());
         }
         double busy = 0.0, worst_wall = 0.0;
